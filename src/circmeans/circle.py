@@ -98,15 +98,20 @@ def binomial_series_mean(
     # Tail bounds assume term ratios <= t^2 from k_min on.
     k_min = max(3, int(math.ceil(abs(b))) + 2)
     harmonic_ok = beta > -0.9
+    geo = np.where(t2 < 1.0, t2 / np.maximum(1.0 - t2, 1e-300), np.inf)
     tail = math.inf
     while k < max_terms:
         nblk = min(_BLOCK, max_terms - k)
-        cs = np.empty(nblk)
-        for j in range(nblk):
-            kk = k + 1 + j
+        cs = []
+        for kk in range(k + 1, k + 1 + nblk):
             coeff = coeff * (b - kk + 1.0) / kk
-            cs[j] = coeff
-        powers = _powers(p_next, t2, nblk)
+            cs.append(coeff)
+        cs = np.array(cs)
+        # Row i is p_next[i] * t2[i]^j, j = 0..nblk-1, multiplied in order.
+        powers = np.empty((t.size, nblk))
+        powers[:, 0] = p_next
+        powers[:, 1:] = t2[:, None]
+        powers = np.multiply.accumulate(powers, axis=1)
         values = values + powers @ (cs**2)
         p_next = powers[:, -1] * t2
         k += nblk
@@ -117,7 +122,6 @@ def binomial_series_mean(
             break
         if k >= k_min:
             last_term = cs[-1] ** 2 * powers[:, -1]
-            geo = np.where(t2 < 1.0, t2 / np.maximum(1.0 - t2, 1e-300), np.inf)
             bound = last_term * geo
             if harmonic_ok:
                 bound = np.minimum(bound, last_term * (k + 1.0) / (1.0 + beta))
@@ -125,15 +129,6 @@ def binomial_series_mean(
             if tail <= tol:
                 break
     return values, tail, k + 1
-
-
-def _powers(p_start: np.ndarray, t2: np.ndarray, n: int) -> np.ndarray:
-    """Matrix P[i, j] = p_start[i] * t2[i]^j for j = 0..n-1."""
-    out = np.empty((p_start.size, n))
-    out[:, 0] = p_start
-    for j in range(1, n):
-        out[:, j] = out[:, j - 1] * t2
-    return out
 
 
 def mean_quadrature(y: float, alpha: float, tol: float = DEFAULT_QUAD_TOL) -> MeanResult:

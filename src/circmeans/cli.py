@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--alpha", type=_alpha_list, required=True)
     add_grid_flags(p_sweep)
     p_sweep.add_argument("--tol", type=float, default=1e-9)
-    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--backend", type=_backend_list,
                          default=[BACKEND_QUADRATURE, BACKEND_SERIES])
     p_sweep.add_argument("--out", required=True, help="CSV output path")
@@ -407,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--dt", type=float, default=1e-3)
-    p_mc.add_argument("--tol", type=float, default=1e-9)
     p_mc.add_argument("--out", required=True)
 
     return parser
@@ -422,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             cfg = SweepConfig(
                 alphas=args.alpha, y_min=args.y_min, y_max=args.y_max, points=args.points,
-                spacing="log" if args.log else "linear", tol=args.tol, seed=args.seed,
+                spacing="log" if args.log else "linear", tol=args.tol,
                 backends=tuple(args.backend),
             )
             return run_sweep(cfg, args.out)
@@ -452,7 +450,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             cfg = SweepConfig(
                 alphas=args.alpha, y_min=args.y_min, y_max=args.y_max, points=args.points,
-                spacing="log" if args.log else "linear", tol=args.tol, seed=args.seed,
+                spacing="log" if args.log else "linear", seed=args.seed,
             )
             return mc_crosscheck(cfg, args.n, args.dt, args.out)
         raise ValueError(f"unknown command {args.command!r}")

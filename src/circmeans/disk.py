@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
-from scipy.special import psi
 
 from .circle import binomial_series_mean
 from .core import (
@@ -54,6 +53,9 @@ _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
 # |alpha - 1| below this uses the degenerate (logarithmic) expansion.
 _DEGENERATE_BAND = 1e-6
+# Term cap of the near-circle series, and how many terms go per chunk.
+_MAX_TERMS = 400
+_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -106,31 +108,78 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _hyp_series(p: float, q: float, c: float, v: np.ndarray) -> np.ndarray:
-    """Plain Gauss series F(p, q; c; v) for v in [0, ~0.2]."""
+    """Plain Gauss series F(p, q; c; v) for v in [0, ~0.2].
+
+    Terms go _CHUNK at a time: with the ratios R_k and the column v in
+    alternating columns, one sequential product reproduces each term as
+    (term * R_k) * v, and one sequential sum the partial sums, so the
+    result is the term-by-term loop's to the bit.  The sum stops at the
+    first k whose term is negligible against the largest partial sum.
+    """
     s = np.ones_like(v)
     term = np.ones_like(v)
-    for k in range(400):
-        term = term * ((p + k) * (q + k) / ((c + k) * (k + 1.0))) * v
-        s = s + term
-        if np.max(np.abs(term)) <= 1e-17 * np.max(s):
-            break
+    for k0 in range(0, _MAX_TERMS, _CHUNK):
+        ks = range(k0, min(k0 + _CHUNK, _MAX_TERMS))
+        steps = np.empty((v.size, 1 + 2 * len(ks)))
+        steps[:, 0] = term
+        steps[:, 1::2] = [(p + k) * (q + k) / ((c + k) * (k + 1.0)) for k in ks]
+        steps[:, 2::2] = v[:, None]
+        terms = np.multiply.accumulate(steps, axis=1)[:, 2::2]
+        sums = np.add.accumulate(np.hstack((s[:, None], terms)), axis=1)[:, 1:]
+        done = np.abs(terms).max(axis=0) <= 1e-17 * sums.max(axis=0)
+        if done.any():
+            return sums[:, done.argmax()]
+        term, s = terms[:, -1], sums[:, -1]
     return s
+
+
+def _psi_gap_table(n: int) -> np.ndarray:
+    """h_k = 2 psi(k+1) - 2 psi(k + 1/2) for k < n, from the exact
+    recurrence h_0 = 4 ln 2, h_(k+1) = h_k - 2/((k+1)(2k+1))."""
+    h = [4.0 * math.log(2.0)]
+    for k in range(n - 1):
+        h.append(h[-1] - 2.0 / ((k + 1.0) * (2.0 * k + 1.0)))
+    return np.array(h)
+
+
+_PSI_GAP = _psi_gap_table(_MAX_TERMS)
 
 
 def _near_one_degenerate(v: np.ndarray) -> np.ndarray:
     """alpha = 1 limit: (1/pi) * sum ((1/2)_n / n!)^2 (h_n - ln v) v^n
-    with h_n = 2 psi(n+1) - 2 psi(n + 1/2)."""
+    with h_n = 2 psi(n+1) - 2 psi(n + 1/2).
+
+    Chunked like :func:`_hyp_series`: the sum adds c_n v^n h_n and
+    subtracts c_n v^n ln v in alternating columns of one sequential sum,
+    and stops at the first n whose remaining terms are negligible.
+    """
     lv = np.log(v)
+    lv_bound = float(np.max(np.abs(lv))) + 10.0
     s = np.zeros_like(v)
     coeff = 1.0
     p = np.ones_like(v)
-    for n in range(400):
-        s = s + coeff * p * (2.0 * psi(n + 1.0) - 2.0 * psi(n + 0.5))
-        s = s - coeff * p * lv
-        coeff *= ((n + 0.5) / (n + 1.0)) ** 2
-        p = p * v
-        if coeff * float(np.max(p)) * (float(np.max(np.abs(lv))) + 10.0) <= 1e-17 * float(np.min(s)):
-            break
+    for n0 in range(0, _MAX_TERMS, _CHUNK):
+        ns = range(n0, min(n0 + _CHUNK, _MAX_TERMS))
+        coeffs = []
+        for n in ns:
+            coeffs.append(coeff)
+            coeff *= ((n + 0.5) / (n + 1.0)) ** 2
+        # powers[:, j] = v^(n0 + j), j = 0..len(ns): one more for the stop test.
+        steps = np.empty((v.size, len(ns) + 1))
+        steps[:, 0] = p
+        steps[:, 1:] = v[:, None]
+        powers = np.multiply.accumulate(steps, axis=1)
+        cp = np.array(coeffs) * powers[:, :-1]
+        parts = np.empty((v.size, 1 + 2 * len(ns)))
+        parts[:, 0] = s
+        parts[:, 1::2] = cp * _PSI_GAP[n0:n0 + len(ns)]
+        parts[:, 2::2] = -(cp * lv[:, None])
+        sums = np.add.accumulate(parts, axis=1)[:, 2::2]
+        nxt = np.array(coeffs[1:] + [coeff])
+        done = nxt * powers[:, 1:].max(axis=0) * lv_bound <= 1e-17 * sums.min(axis=0)
+        if done.any():
+            return sums[:, done.argmax()] / math.pi
+        p, s = powers[:, -1], sums[:, -1]
     return s / math.pi
 
 

@@ -105,6 +105,14 @@ class TestSweepCommand:
                        "--out", str(tmp_path / "x.csv")])
         assert status == 2
 
+    def test_seed_flag_rejected(self, tmp_path, capsys):
+        # The sweep is deterministic: it draws no random numbers.
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--alpha", "1", "--seed", "3", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_violation_exit_1_and_stderr_triples(self, tmp_path, capsys, monkeypatch):
         # Corrupt the intermediate bound: every margin goes negative.
         monkeypatch.setattr(cli, "mid_bound", lambda y, alpha: 100.0)
@@ -219,6 +227,14 @@ class TestMcCommand:
     def test_small_n_rejected(self, tmp_path):
         assert main(["mc", "--alpha", "1.5", "--n", "5000",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_tol_flag_rejected(self, tmp_path, capsys):
+        # The MC gates are set in sigmas and the bias allowance, not by a tolerance.
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--alpha", "1.5", "--tol", "1e-9", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
