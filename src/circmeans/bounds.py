@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .circle import circle_modulus_sq, log_mean
+from .circle import circle_modulus_sq, log_mean, mean_quadrature
 from .core import check_alpha, check_radius, check_tol, large_branch_threshold
 from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
@@ -125,29 +125,26 @@ def am_gm_sandwich(y: float, r: float, tol: float = 1e-10) -> tuple[float, float
             f"negative power mean diverges at y = 1 for exponent -r = {-r}; requires r < 1"
         )
 
-    def power_mean(expo: float) -> float:
-        half = 0.5 * expo
+    half = -0.5 * r
 
-        def f(theta):
-            return circle_modulus_sq(theta, y) ** half / math.pi
+    def f(theta):
+        return circle_modulus_sq(theta, y) ** half / math.pi
 
-        if y == 1.0 and expo < 0.0:
-            # |1+zeta|^expo ~ (pi-theta)^expo blows up at theta = pi; the
-            # flank needs the distance-parameterized tanh-sinh rule.
-            cut = 0.5
-            v1, e1, _ = integrate_adaptive(f, 0.0, math.pi - cut, 0.5 * tol)
-            v2, e2, _ = integrate_tanhsinh_singular(
-                lambda s: (2.0 * np.sin(0.5 * s)) ** expo / math.pi,
-                cut,
-                1.0 + expo,
-                0.5 * tol,
-            )
-            value = v1 + v2
-        else:
-            value, _, _ = integrate_adaptive(f, 0.0, math.pi, tol, breakpoints=(0.5 * math.pi,))
-        return value ** (1.0 / expo)
-
-    lower = power_mean(-r)
-    upper = power_mean(r)
+    if y == 1.0:
+        # |1+zeta|^(-r) ~ (pi-theta)^(-r) blows up at theta = pi; the
+        # flank needs the distance-parameterized tanh-sinh rule.
+        cut = 0.5
+        v1, _, _ = integrate_adaptive(f, 0.0, math.pi - cut, 0.5 * tol)
+        v2, _, _ = integrate_tanhsinh_singular(
+            lambda s: (2.0 * np.sin(0.5 * s)) ** -r / math.pi,
+            cut,
+            1.0 - r,
+            0.5 * tol,
+        )
+        value = v1 + v2
+    else:
+        value, _, _ = integrate_adaptive(f, 0.0, math.pi, tol, breakpoints=(0.5 * math.pi,))
+    lower = value ** (-1.0 / r)
+    upper = mean_quadrature(y, r, tol).value ** (1.0 / r)
     mid = math.exp(log_mean(y, tol))
     return lower, mid, upper

@@ -89,16 +89,34 @@ def binomial_series_mean(
         raise ValueError(f"series requires exponent beta > -2, got {beta}")
     if np.any(t == 1.0) and beta <= -0.9:
         raise ValueError("series at t = 1 requires beta > -0.9")
-    b = 0.5 * beta
-    t2 = t * t
-    values = np.ones_like(t)          # k = 0 term
+    return _hyp2f1_series(t * t, 0.5 * beta, 1.0, tol, max_terms)
+
+
+def _hyp2f1_series(
+    z: np.ndarray, b: float, c: float, tol: float, max_terms: int = 500_000
+) -> tuple[np.ndarray, float, int]:
+    """Gauss series F(-b, -b; c; z) = sum_k C(b, k)^2 k!/(c)_k z^k, 0 <= z <= 1.
+
+    The package's one 2F1 summation.  Terms go _BLOCK at a time: the
+    block's powers come from one sequential product along the rows and
+    its coefficients from the scalar recurrence C(b, k) = C(b, k-1)
+    (b-k+1)/k, times the factor k!/(c)_k, which is exactly 1 at c = 1.
+    The tail bound after each block assumes term ratios <= z from
+    k = max(3, ceil|b| + 2) on (true for c = 1, b > -1, and for the
+    connection families of :mod:`circmeans.disk` at every k); at c = 1
+    and b > -0.45 the harmonic bound also holds, which covers z = 1.
+    Returns (values, worst tail bound over the array, terms used).
+    """
+    values = np.ones_like(z)          # k = 0 term
     coeff = 1.0                        # C(b, k) at current k
-    p_next = t2.copy()                 # t^(2(k+1)) for the next block start
+    ratio = 1.0                        # k!/(c)_k at current k
     k = 0
-    # Tail bounds assume term ratios <= t^2 from k_min on.
     k_min = max(3, int(math.ceil(abs(b))) + 2)
-    harmonic_ok = beta > -0.9
-    geo = np.where(t2 < 1.0, t2 / np.maximum(1.0 - t2, 1e-300), np.inf)
+    harmonic_ok = c == 1.0 and b > -0.45
+    geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
+    # Row i of a block's powers is steps[i, 0] * z[i]^j, j = 0..nblk-1,
+    # with steps[i, 0] = z[i]^(k+1) at the block start.
+    steps = np.repeat(z[:, None], _BLOCK, axis=1)
     tail = math.inf
     while k < max_terms:
         nblk = min(_BLOCK, max_terms - k)
@@ -106,14 +124,15 @@ def binomial_series_mean(
         for kk in range(k + 1, k + 1 + nblk):
             coeff = coeff * (b - kk + 1.0) / kk
             cs.append(coeff)
-        cs = np.array(cs)
-        # Row i is p_next[i] * t2[i]^j, j = 0..nblk-1, multiplied in order.
-        powers = np.empty((t.size, nblk))
-        powers[:, 0] = p_next
-        powers[:, 1:] = t2[:, None]
-        powers = np.multiply.accumulate(powers, axis=1)
-        values = values + powers @ (cs**2)
-        p_next = powers[:, -1] * t2
+        cs = np.array(cs) ** 2
+        if c != 1.0:
+            ks = np.arange(k + 1.0, k + 1.0 + nblk)
+            ratios = np.multiply.accumulate(np.concatenate(([ratio], ks / (c + ks - 1.0))))
+            ratio = ratios[-1]
+            cs = cs * ratios[1:]
+        powers = np.multiply.accumulate(steps[:, :nblk], axis=1)
+        values = values + powers @ cs
+        steps[:, 0] = powers[:, -1] * z
         k += nblk
         if coeff == 0.0:
             # b is a non-negative integer: once a coefficient hits zero
@@ -121,10 +140,10 @@ def binomial_series_mean(
             tail = 0.0
             break
         if k >= k_min:
-            last_term = cs[-1] ** 2 * powers[:, -1]
+            last_term = cs[-1] * powers[:, -1]
             bound = last_term * geo
             if harmonic_ok:
-                bound = np.minimum(bound, last_term * (k + 1.0) / (1.0 + beta))
+                bound = np.minimum(bound, last_term * (k + 1.0) / (1.0 + 2.0 * b))
             tail = float(np.max(bound))
             if tail <= tol:
                 break

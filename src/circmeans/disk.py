@@ -35,7 +35,7 @@ from math import gamma
 
 import numpy as np
 
-from .circle import binomial_series_mean
+from .circle import _hyp2f1_series, binomial_series_mean
 from .core import (
     BACKEND_AREA_INTEGRAL,
     BranchRegime,
@@ -51,11 +51,8 @@ from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 # above, connection expansion in the ring around t = 1.
 _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
-# |alpha - 1| below this uses the degenerate (logarithmic) expansion.
+# |alpha - 1| below this uses the alpha = 1 closed form.
 _DEGENERATE_BAND = 1e-6
-# Term cap of the near-circle series, and how many terms go per chunk.
-_MAX_TERMS = 400
-_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,10 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     where G1 = Gamma(alpha-1)/Gamma(alpha/2)^2 and
     G2 = Gamma(1-alpha)/Gamma(1-alpha/2)^2.  The expansion takes u
     directly, so radii within 1e-300 of the circle are handled without
-    forming 1 - u.  For |alpha - 1| <= 1e-6 the degenerate limit with an
-    explicit ln(v) term is used instead (the two gamma prefactors blow
-    up individually there).  alpha = 2 returns 1 identically.
+    forming 1 - u.  For |alpha - 1| <= 1e-6 (where the two gamma
+    prefactors blow up individually) the alpha = 1 closed form
+    m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead.  alpha = 2
+    returns 1 identically.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size == 0:
@@ -94,101 +92,50 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     alpha = check_alpha(alpha, upper=2.0)
     if alpha == 2.0:
         return np.ones_like(u)
-    v = u * (2.0 - u)
     if abs(alpha - 1.0) <= _DEGENERATE_BAND:
-        return _near_one_degenerate(v)
+        return _inverse_agm(u)
+    v = u * (2.0 - u)
     a = 1.0 - 0.5 * alpha
     g1 = gamma(alpha - 1.0) / gamma(0.5 * alpha) ** 2
     g2 = gamma(1.0 - alpha) / gamma(1.0 - 0.5 * alpha) ** 2
-    f1 = _hyp_series(a, a, 2.0 * a, v)
-    f2 = _hyp_series(1.0 - a, 1.0 - a, 2.0 - 2.0 * a, v)
+    # Both families have term ratios below v at every k, so the
+    # kernel's geometric tail bound holds from its first block on.
+    f1, _, _ = _hyp2f1_series(v, -a, 2.0 * a, 1e-16)
+    f2, _, _ = _hyp2f1_series(v, a - 1.0, 2.0 - 2.0 * a, 1e-16)
     # v^(alpha-1) via exp/log: v can be ~1e-300 while the power is huge.
     vpow = np.exp((alpha - 1.0) * np.log(v))
     return g1 * f1 + g2 * vpow * f2
 
 
-def _hyp_series(p: float, q: float, c: float, v: np.ndarray) -> np.ndarray:
-    """Plain Gauss series F(p, q; c; v) for v in [0, ~0.2].
+def _inverse_agm(u: np.ndarray) -> np.ndarray:
+    """1/AGM(2 - u, u), the alpha = 1 mean at t = 1 - u.
 
-    Terms go _CHUNK at a time: with the ratios R_k and the column v in
-    alternating columns, one sequential product reproduces each term as
-    (term * R_k) * v, and one sequential sum the partial sums, so the
-    result is the term-by-term loop's to the bit.  The sum stops at the
-    first k whose term is negligible against the largest partial sum.
+    The relative gap (a - g)/a of the AGM steps falls to about gap^2/8
+    per step and shrinks faster the larger u is, so the step count is
+    found once, in scalars, on min(u), and the arrays then take that
+    many steps unchecked: one past the first gap below 1e-8, which
+    leaves a gap under 1e-16 (13 steps at u = 1e-300).
     """
-    s = np.ones_like(v)
-    term = np.ones_like(v)
-    for k0 in range(0, _MAX_TERMS, _CHUNK):
-        ks = range(k0, min(k0 + _CHUNK, _MAX_TERMS))
-        steps = np.empty((v.size, 1 + 2 * len(ks)))
-        steps[:, 0] = term
-        steps[:, 1::2] = [(p + k) * (q + k) / ((c + k) * (k + 1.0)) for k in ks]
-        steps[:, 2::2] = v[:, None]
-        terms = np.multiply.accumulate(steps, axis=1)[:, 2::2]
-        sums = np.add.accumulate(np.hstack((s[:, None], terms)), axis=1)[:, 1:]
-        done = np.abs(terms).max(axis=0) <= 1e-17 * sums.max(axis=0)
-        if done.any():
-            return sums[:, done.argmax()]
-        term, s = terms[:, -1], sums[:, -1]
-    return s
-
-
-def _psi_gap_table(n: int) -> np.ndarray:
-    """h_k = 2 psi(k+1) - 2 psi(k + 1/2) for k < n, from the exact
-    recurrence h_0 = 4 ln 2, h_(k+1) = h_k - 2/((k+1)(2k+1))."""
-    h = [4.0 * math.log(2.0)]
-    for k in range(n - 1):
-        h.append(h[-1] - 2.0 / ((k + 1.0) * (2.0 * k + 1.0)))
-    return np.array(h)
-
-
-_PSI_GAP = _psi_gap_table(_MAX_TERMS)
-
-
-def _near_one_degenerate(v: np.ndarray) -> np.ndarray:
-    """alpha = 1 limit: (1/pi) * sum ((1/2)_n / n!)^2 (h_n - ln v) v^n
-    with h_n = 2 psi(n+1) - 2 psi(n + 1/2).
-
-    Chunked like :func:`_hyp_series`: the sum adds c_n v^n h_n and
-    subtracts c_n v^n ln v in alternating columns of one sequential sum,
-    and stops at the first n whose remaining terms are negligible.
-    """
-    lv = np.log(v)
-    lv_bound = float(np.max(np.abs(lv))) + 10.0
-    s = np.zeros_like(v)
-    coeff = 1.0
-    p = np.ones_like(v)
-    for n0 in range(0, _MAX_TERMS, _CHUNK):
-        ns = range(n0, min(n0 + _CHUNK, _MAX_TERMS))
-        coeffs = []
-        for n in ns:
-            coeffs.append(coeff)
-            coeff *= ((n + 0.5) / (n + 1.0)) ** 2
-        # powers[:, j] = v^(n0 + j), j = 0..len(ns): one more for the stop test.
-        steps = np.empty((v.size, len(ns) + 1))
-        steps[:, 0] = p
-        steps[:, 1:] = v[:, None]
-        powers = np.multiply.accumulate(steps, axis=1)
-        cp = np.array(coeffs) * powers[:, :-1]
-        parts = np.empty((v.size, 1 + 2 * len(ns)))
-        parts[:, 0] = s
-        parts[:, 1::2] = cp * _PSI_GAP[n0:n0 + len(ns)]
-        parts[:, 2::2] = -(cp * lv[:, None])
-        sums = np.add.accumulate(parts, axis=1)[:, 2::2]
-        nxt = np.array(coeffs[1:] + [coeff])
-        done = nxt * powers[:, 1:].max(axis=0) * lv_bound <= 1e-17 * sums.min(axis=0)
-        if done.any():
-            return sums[:, done.argmax()] / math.pi
-        p, s = powers[:, -1], sums[:, -1]
-    return s / math.pi
+    x = float(np.min(u))
+    a, g = 2.0 - x, x
+    steps = 1
+    while a - g > 1e-8 * a:
+        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        steps += 1
+    a, g = 2.0 - u, u
+    for _ in range(steps):
+        a, g = 0.5 * (a + g), np.sqrt(a * g)
+    return 1.0 / a
 
 
 def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:
     """Mean of |1 + t*zeta|^(alpha-2) over the circle, for t >= 0, t != 1.
 
-    Dispatch: binomial series for t <= 0.9, connection expansion in the
-    ring 0.9 < t < 1/0.9, inversion t^(alpha-2) * m(1/t) beyond.  At
-    t = 1 exactly the mean is finite only for alpha > 1 (value
+    A radius t > 1 is first mapped inside by the inversion
+    m(t) = t^(alpha-2) * m(1/t), with distance (t - 1)/t to the circle.
+    Then the binomial series takes radii up to 0.9 (or from 1/0.9 on)
+    and the connection expansion the ring between.  At t = 1 exactly
+    the mean is finite only for alpha > 1 (value
     Gamma(alpha-1)/Gamma(alpha/2)^2); for alpha <= 1 the integrand is
     non-integrable on the circle and a ValueError is raised.
     """
@@ -197,32 +144,28 @@ def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:
     beta = alpha - 2.0
     if np.any(t < 0.0):
         raise ValueError("inner mean requires t >= 0")
-    if np.any(t == 1.0):
-        if alpha <= 1.0:
-            raise ValueError(
-                f"inner mean diverges at radius t = 1 for alpha = {alpha} <= 1"
-            )
-        at_one = gamma(alpha - 1.0) / gamma(0.5 * alpha) ** 2 if alpha < 2.0 else 1.0
-    out = np.empty_like(t)
-    lo = t <= _SERIES_CUTOFF
-    hi = t >= _NEAR_ONE_CUTOFF
-    ring_lo = (~lo) & (t < 1.0)
-    ring_hi = (~hi) & (t > 1.0)
     one = t == 1.0
-    if np.any(lo):
-        out[lo], _, _ = binomial_series_mean(t[lo], beta, 1e-16)
-    if np.any(ring_lo):
-        out[ring_lo] = inner_mean_near_one(1.0 - t[ring_lo], alpha)
-    if np.any(ring_hi):
-        tt = t[ring_hi]
-        out[ring_hi] = tt**beta * inner_mean_near_one((tt - 1.0) / tt, alpha)
-    if np.any(hi):
-        tt = t[hi]
-        vals, _, _ = binomial_series_mean(1.0 / tt, beta, 1e-16)
-        out[hi] = tt**beta * vals
+    if np.any(one) and alpha <= 1.0:
+        raise ValueError(f"inner mean diverges at radius t = 1 for alpha = {alpha} <= 1")
+    outside = t > 1.0
+    scale = np.ones_like(t)
+    inside = t.copy()
+    dist = 1.0 - t
+    if np.any(outside):
+        to = t[outside]
+        scale[outside] = to**beta
+        inside[outside] = 1.0 / to
+        dist[outside] = (to - 1.0) / to
+    ring = (t > _SERIES_CUTOFF) & (t < _NEAR_ONE_CUTOFF) & ~one
+    series = ~ring & ~one
+    out = np.empty_like(t)
+    if np.any(series):
+        out[series], _, _ = binomial_series_mean(inside[series], beta, 1e-16)
+    if np.any(ring):
+        out[ring] = inner_mean_near_one(dist[ring], alpha)
     if np.any(one):
-        out[one] = at_one
-    return out
+        out[one] = gamma(alpha - 1.0) / gamma(0.5 * alpha) ** 2 if alpha < 2.0 else 1.0
+    return scale * out
 
 
 def _radial_weight(r: np.ndarray) -> np.ndarray:

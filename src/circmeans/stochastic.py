@@ -92,54 +92,18 @@ def green_radius_cdf(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def _green_radius_ppf(q: np.ndarray) -> np.ndarray:
-    """Inverse of the radial CDF by safeguarded Newton with bisection.
-
-    The CDF is strictly increasing on (0, 1); Newton steps falling
-    outside the live bracket are replaced by bisection.  Residuals are
-    driven below 1e-12; failure to converge raises (silent bias is worse
-    than no answer).
-    """
-    q = np.asarray(q, dtype=float)
-    lo = np.full_like(q, 1e-300)
-    hi = np.ones_like(q)
-    r = np.full_like(q, 0.5)
-    for _ in range(200):
-        f = green_radius_cdf(r) - q
-        done_mask = np.abs(f) <= 1e-12
-        if np.all(done_mask):
-            return r
-        below = f < 0.0
-        lo = np.where(below, r, lo)
-        hi = np.where(below, hi, r)
-        deriv = -4.0 * r * np.log(r)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(deriv > 0.0, f / deriv, np.inf)
-        cand = r - step
-        bad = ~((cand > lo) & (cand < hi)) | ~np.isfinite(cand)
-        r = np.where(bad, 0.5 * (lo + hi), cand)
-    raise NumericalFailure(
-        "Green radial CDF inversion did not converge to 1e-12",
-        best_estimate=math.nan,
-    )
-
-
 def sample_green_points(rng: np.random.Generator, n: int) -> np.ndarray:
     """n independent complex points from the normalized Green density.
 
-    Radius from CDF r^2 (1 - 2 ln r) by monotone inversion, angle
-    uniform on [0, 2pi).
+    Radius sqrt(U1 U2) for independent uniforms: the product U1 U2 has
+    density -ln p on (0, 1), so the radius has the CDF r^2 (1 - 2 ln r)
+    exactly (Devroye 1986); angle uniform on [0, 2pi).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    radii = _green_radius_ppf(rng.random(n))
+    radii = np.sqrt(rng.random(n) * rng.random(n))
     angles = rng.uniform(0.0, 2.0 * math.pi, n)
     return radii * np.exp(1j * angles)
-
-
-def sample_green_point(rng: np.random.Generator) -> complex:
-    """Single draw from the Green density (see :func:`sample_green_points`)."""
-    return complex(sample_green_points(rng, 1)[0])
 
 
 def mc_area_mean(y: float, alpha: float, n: int, rng: np.random.Generator) -> McEstimate:

@@ -29,7 +29,7 @@ def mp_inner_mean(t, alpha):
 class TestInnerMean:
     def test_against_scipy_hypergeometric(self):
         # The mean of |1+t*zeta|^(beta) equals 2F1(-b/2,-b/2;1;t^2).
-        ts = np.array([0.0, 0.2, 0.5, 0.85, 0.95, 1.2, 2.0, 5.0])
+        ts = np.array([0.0, 0.2, 0.5, 0.85, 0.95, 1.05, 1.2, 2.0, 5.0])
         for alpha in (0.25, 0.7, 1.0, 1.3, 1.99):
             beta = alpha - 2.0
             mine = inner_mean(ts, alpha)

@@ -1,9 +1,11 @@
-"""The block-vectorised series kernels against their term-by-term loops.
+"""The block-vectorised 2F1 series kernel against its term-by-term loops,
+and the near-circle inner means against mpmath.
 
-The loop versions below are the kernels as they were written before the
-per-term work went into whole-block array operations.  The arithmetic is
-meant to be the same operation for operation, so values, tail bounds and
-term counts must be equal, not merely close.
+The loop versions below do the kernel's per-term work one term at a
+time: the binomial one is the kernel as it was written before that work
+went into whole-block array operations, the c != 1 one follows it.  The
+arithmetic is meant to be the same operation for operation, so values,
+tail bounds and term counts must be equal, not merely close.
 """
 import math
 import os
@@ -16,8 +18,10 @@ import numpy as np
 import pytest
 
 import circmeans
-from circmeans.circle import binomial_series_mean
-from circmeans.disk import _MAX_TERMS, _PSI_GAP, _hyp_series, _near_one_degenerate
+from circmeans.circle import _hyp2f1_series, binomial_series_mean
+from circmeans.disk import inner_mean_near_one
+
+EPS = np.finfo(float).eps
 
 
 def loop_binomial_series_mean(t, beta, tol, *, max_terms=500_000):
@@ -65,31 +69,33 @@ def _loop_powers(p_start, t2, n):
     return out
 
 
-def loop_hyp_series(p, q, c, v):
-    s = np.ones_like(v)
-    term = np.ones_like(v)
-    for k in range(400):
-        term = term * ((p + k) * (q + k) / ((c + k) * (k + 1.0))) * v
-        s = s + term
-        if np.max(np.abs(term)) <= 1e-17 * np.max(s):
-            break
-    return s
-
-
-def loop_near_one_degenerate(v):
-    """The term-by-term loop, with the psi gaps read from the same table."""
-    lv = np.log(v)
-    s = np.zeros_like(v)
+def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
+    """The kernel at c != 1: coefficients C(b, k)^2 k!/(c)_k term by term."""
+    values = np.ones_like(z)
     coeff = 1.0
-    p = np.ones_like(v)
-    for n in range(400):
-        s = s + coeff * p * _PSI_GAP[n]
-        s = s - coeff * p * lv
-        coeff *= ((n + 0.5) / (n + 1.0)) ** 2
-        p = p * v
-        if coeff * float(np.max(p)) * (float(np.max(np.abs(lv))) + 10.0) <= 1e-17 * float(np.min(s)):
-            break
-    return s / math.pi
+    ratio = 1.0
+    p_next = z.copy()
+    k = 0
+    k_min = max(3, int(math.ceil(abs(b))) + 2)
+    tail = math.inf
+    while k < max_terms:
+        nblk = min(64, max_terms - k)
+        cs = np.empty(nblk)
+        for j in range(nblk):
+            kk = k + 1 + j
+            coeff = coeff * (b - kk + 1.0) / kk
+            ratio = ratio * (kk / (c + kk - 1.0))
+            cs[j] = coeff * coeff * ratio
+        powers = _loop_powers(p_next, z, nblk)
+        values = values + powers @ cs
+        p_next = powers[:, -1] * z
+        k += nblk
+        if k >= k_min:
+            geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
+            tail = float(np.max(cs[-1] * powers[:, -1] * geo))
+            if tail <= tol:
+                break
+    return values, tail, k + 1
 
 
 def assert_same_series(t, beta, tol, **kw):
@@ -147,10 +153,19 @@ class TestBinomialSeriesExact:
         assert_same_series(1.0 / rng.uniform(1.0 / 0.9, 40.0, 13_000), -0.4, 1e-16)
 
 
-def _hyp_params(rng):
-    alpha = float(rng.uniform(0.01, 1.99))
+def _families(alpha):
+    """(b, c) of F(a, a; 2a; v) and F(1-a, 1-a; 2-2a; v), a = 1 - alpha/2,
+    written as F(-b, -b; c; v)."""
     a = 1.0 - 0.5 * alpha
-    return [(a, a, 2.0 * a), (1.0 - a, 1.0 - a, 2.0 - 2.0 * a)]
+    return [(-a, 2.0 * a), (a - 1.0, 2.0 - 2.0 * a)]
+
+
+def assert_same_hyp2f1(z, b, c, tol, **kw):
+    got = _hyp2f1_series(z, b, c, tol, **kw)
+    ref = loop_hyp2f1_series(z, b, c, tol, **kw)
+    assert np.array_equal(got[0], ref[0])
+    assert got[1] == ref[1]
+    assert got[2] == ref[2]
 
 
 class TestHypSeriesExact:
@@ -159,44 +174,59 @@ class TestHypSeriesExact:
         rng = np.random.default_rng(seed)
         for _ in range(5):
             n = int(rng.integers(1, 50))
-            v = 10.0 ** rng.uniform(-300.0, math.log10(0.19), n)
-            for p, q, c in _hyp_params(rng):
-                assert np.array_equal(_hyp_series(p, q, c, v), loop_hyp_series(p, q, c, v))
+            v = 10.0 ** rng.uniform(-300.0, math.log10(0.75), n)
+            for b, c in _families(float(rng.uniform(0.01, 1.99))):
+                assert_same_hyp2f1(v, b, c, 1e-16)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_random_points_and_parameters(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            z = rng.uniform(0.0, 0.95, int(rng.integers(1, 40)))
+            b = float(rng.uniform(-0.99, 2.5))
+            c = float(rng.uniform(0.05, 3.0))
+            tol = float(10.0 ** rng.uniform(-16, -8))
+            assert_same_hyp2f1(z, b, c, tol, max_terms=int(rng.integers(100, 3000)))
 
     def test_one_point_and_thirteen_thousand(self):
         rng = np.random.default_rng(7)
         for n in (1, 13_000):
             u = 10.0 ** rng.uniform(-300.0, -1.0, n)
             v = u * (2.0 - u)
-            for p, q, c in _hyp_params(rng):
-                assert np.array_equal(_hyp_series(p, q, c, v), loop_hyp_series(p, q, c, v))
+            for b, c in _families(float(rng.uniform(0.01, 1.99))):
+                assert_same_hyp2f1(v, b, c, 1e-16)
 
     def test_tiny_and_edge_arguments(self):
-        v = np.array([1e-300, 1e-200, 1e-17, 1e-3, 0.19])
-        for p, q, c in [(0.5, 0.5, 1.0), (0.875, 0.875, 1.75), (0.005, 0.005, 0.01)]:
-            got = _hyp_series(p, q, c, v)
-            assert np.array_equal(got, loop_hyp_series(p, q, c, v))
-            assert got[0] == 1.0
+        v = np.array([1e-300, 1e-200, 1e-17, 1e-3, 0.19, 0.75])
+        for alpha in (0.02, 0.25, 1.5, 1.99):
+            for b, c in _families(alpha):
+                assert_same_hyp2f1(v, b, c, 1e-16)
+                assert _hyp2f1_series(v, b, c, 1e-16)[0][0] == 1.0
 
 
-class TestDegenerateExact:
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_matches_term_loop(self, seed):
-        rng = np.random.default_rng(seed)
-        for n in (1, 9, 13_000):
-            u = 10.0 ** rng.uniform(-300.0, -1.0, n)
-            v = u * (2.0 - u)
-            assert np.array_equal(_near_one_degenerate(v), loop_near_one_degenerate(v))
+class TestNearOneAgainstMpmath:
+    @pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 0.9, 1.1, 1.5, 1.99])
+    def test_families_within_tail_bound(self, alpha):
+        mp.mp.dps = 40
+        u = np.array([1e-300, 1e-120, 1e-16, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5])
+        v = u * (2.0 - u)
+        for b, c in _families(alpha):
+            vals, tail, _ = _hyp2f1_series(v, b, c, 1e-16)
+            for vi, got in zip(v, vals):
+                ref = float(mp.hyp2f1(-b, -b, c, mp.mpf(vi)))
+                assert abs(got - ref) <= tail + 4.0 * EPS * ref, (alpha, b, c, vi)
 
-
-def test_psi_gap_table_against_mpmath():
-    mp.mp.dps = 40
-    assert len(_PSI_GAP) == _MAX_TERMS == 400
-    worst = 0.0
-    for k, h in enumerate(_PSI_GAP):
-        ref = 2 * mp.digamma(k + 1) - 2 * mp.digamma(mp.mpf(k) + mp.mpf(1) / 2)
-        worst = max(worst, float(abs((h - ref) / ref)))
-    assert worst <= 1e-13
+    def test_alpha_one_is_inverse_agm(self):
+        mp.mp.dps = 40
+        rng = np.random.default_rng(8)
+        u = np.concatenate([[1e-300, 0.5], 10.0 ** rng.uniform(-300.0, math.log10(0.5), 400)])
+        # The step count comes from min(u): check the whole array, and
+        # decades whose smallest point needs fewer steps.
+        for part in [u] + [u[(u >= 10.0**-k) & (u < 10.0 ** (1 - k))] for k in (1, 2, 8, 40)]:
+            got = inner_mean_near_one(part, 1.0)
+            for ui, g in zip(part, got):
+                ref = 1 / mp.agm(2 - mp.mpf(ui), mp.mpf(ui))
+                assert abs(g - ref) <= 4.0 * EPS * ref, ui
 
 
 def test_package_import_leaves_scipy_out():

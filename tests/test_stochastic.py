@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
 from circmeans.circle import mean_quadrature
 from circmeans.core import NumericalFailure, rng_from_seed
@@ -12,7 +13,6 @@ from circmeans.stochastic import (
     mc_area_mean,
     occupation_bias_allowance,
     occupation_time_mc,
-    sample_green_point,
     sample_green_points,
     variance_flag,
 )
@@ -26,13 +26,10 @@ class TestGreenSampler:
         assert c[-1] == 1.0
         assert np.all(np.diff(c) > 0.0)
 
-    def test_inversion_roundtrip(self):
-        from circmeans.stochastic import _green_radius_ppf
-
-        q = np.linspace(1e-9, 1.0 - 1e-9, 999)
-        r = _green_radius_ppf(q)
-        assert np.all((r > 0.0) & (r < 1.0))
-        assert np.max(np.abs(green_radius_cdf(r) - q)) <= 1e-12
+    def test_radius_distribution_kolmogorov_smirnov(self):
+        # Radii sqrt(U1 U2) against the radial CDF r^2 (1 - 2 ln r).
+        r = np.abs(sample_green_points(rng_from_seed(19), 100_000))
+        assert kstest(r, green_radius_cdf).pvalue > 1e-3
 
     def test_samples_inside_disk(self):
         z = sample_green_points(rng_from_seed(3), 10_000)
@@ -57,11 +54,6 @@ class TestGreenSampler:
         se = np.std(z.real, ddof=1) / math.sqrt(z.size)
         assert abs(np.mean(z.real)) <= 4.0 * se
         assert abs(np.mean(z.imag)) <= 4.0 * se
-
-    def test_scalar_wrapper(self):
-        z = sample_green_point(rng_from_seed(11))
-        assert isinstance(z, complex)
-        assert abs(z) < 1.0
 
     def test_reproducible(self):
         a = sample_green_points(rng_from_seed(42), 1000)
