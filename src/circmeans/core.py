@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -161,18 +161,28 @@ class McEstimate:
     the integrand has infinite variance in this parameter regime and the
     reported stderr is unreliable; such estimates are excluded from
     statistical gates.
+
+    Path simulations also report their work: ``discarded`` paths that
+    never finished (and are not among the ``n``) and ``path_steps``, the
+    number of single-path steps taken.  Estimators that simulate no paths
+    leave both at 0.
     """
 
     mean: float
     stderr: float
     n: int
     variance_warning: bool = False
+    _: KW_ONLY
+    discarded: int = 0
+    path_steps: int = 0
 
     def __post_init__(self):
         if self.n <= 0:
             raise ValueError("n must be a positive integer")
         if self.stderr < 0.0:
             raise ValueError("stderr must be >= 0")
+        if self.discarded < 0 or self.path_steps < 0:
+            raise ValueError("discarded and path_steps must be >= 0")
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:

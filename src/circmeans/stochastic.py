@@ -18,9 +18,12 @@ mechanisms:
 
       1 + (alpha^2 y^2 / 2) * E[functional].
 
-  Discrete monitoring exits late, so the estimate carries an O(sqrt(dt))
-  upward bias; :func:`occupation_bias_allowance` quantifies the
-  calibrated allowance that statistical gates should add.
+  Only the live paths are stepped, in contiguous arrays compacted by a
+  boolean mask as paths exit, so the work is one step per live path per
+  time step; the estimate reports its ``discarded`` paths and its
+  ``path_steps``.  Discrete monitoring exits late, so the estimate
+  carries an O(sqrt(dt)) upward bias; :func:`occupation_bias_allowance`
+  quantifies the calibrated allowance that statistical gates should add.
 
 For alpha <= 1 and y >= 1 the squared integrand has a non-integrable
 singularity at z = -1/y (local exponent 2(alpha-2) <= -2), so the sample
@@ -132,10 +135,13 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
 
     Each path starts at the origin, advances by N(0, dt) increments per
     coordinate, and stops at its first sample outside the unit disk; the
-    integrand is accumulated at left endpoints.  Paths that fail to exit
-    within the step budget are discarded and counted; more than 0.1%
-    discards aborts the run.  Identical (cfg, n) always produce the same
-    estimate.
+    integrand is accumulated at left endpoints.  Only live paths are
+    stepped: their coordinates, sums and original indices sit in
+    contiguous arrays kept in path order, and one boolean mask drops the
+    paths that exit.  Paths that fail to exit within the step
+    budget are discarded; more than 0.1% discards aborts the run.  The
+    estimate reports ``discarded`` and ``path_steps`` (two normals each).
+    Identical (cfg, n) always produce the same estimate.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
@@ -147,28 +153,32 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     budget = cfg.steps_budget
     const_integrand = alpha == 2.0
 
-    pos = np.zeros((n, 2))
-    acc = np.zeros(n)           # per-path occupation sums
-    idx = np.arange(n)          # indices of still-running paths
+    x = np.zeros(n)             # live paths' coordinates
+    v = np.zeros(n)
+    acc = np.zeros(n)           # their occupation sums
+    ids = np.arange(n)          # their indices among the n paths
     totals = np.full(n, math.nan)
-    discarded = 0
+    path_steps = 0
     for _ in range(budget):
-        if idx.size == 0:
+        k = ids.size
+        if k == 0:
             break
+        path_steps += k
         # Left-endpoint contribution at the current (inside) position.
         if const_integrand:
-            acc[idx] += dt
+            acc += dt
         else:
-            w2 = (1.0 + y * pos[idx, 0]) ** 2 + (y * pos[idx, 1]) ** 2
-            acc[idx] += dt * w2 ** (0.5 * alpha - 1.0)
-        pos[idx] += sqrt_dt * rng.standard_normal((idx.size, 2))
-        r2 = pos[idx, 0] ** 2 + pos[idx, 1] ** 2
-        exited = r2 > 1.0
-        if np.any(exited):
-            done = idx[exited]
-            totals[done] = acc[done]
-            idx = idx[~exited]
-    discarded = idx.size
+            w2 = (1.0 + y * x) ** 2 + (y * v) ** 2
+            acc += dt * w2 ** (0.5 * alpha - 1.0)
+        z = sqrt_dt * rng.standard_normal((k, 2))
+        x += z[:, 0]
+        v += z[:, 1]
+        exited = x ** 2 + v ** 2 > 1.0
+        if exited.any():
+            totals[ids[exited]] = acc[exited]
+            live = ~exited
+            x, v, acc, ids = x[live], v[live], acc[live], ids[live]
+    discarded = ids.size
     if discarded > _MAX_DISCARD_FRACTION * n:
         raise NumericalFailure(
             f"{discarded} of {n} paths failed to exit within {budget} steps",
@@ -179,7 +189,8 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     samples = 1.0 + scale * finished
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
-    return McEstimate(mean, stderr, int(samples.size), variance_flag(y, alpha))
+    return McEstimate(mean, stderr, int(samples.size), variance_flag(y, alpha),
+                      discarded=discarded, path_steps=path_steps)
 
 
 def occupation_bias_allowance(y: float, alpha: float, dt: float) -> float:

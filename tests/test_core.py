@@ -102,6 +102,18 @@ def test_mc_estimate_validation():
         McEstimate(1.0, -0.1, 10)
 
 
+def test_mc_estimate_work_counts():
+    est = McEstimate(1.0, 0.1, 10)
+    assert (est.discarded, est.path_steps) == (0, 0)
+    assert McEstimate(1.0, 0.1, 10, False, discarded=2, path_steps=30).path_steps == 30
+    with pytest.raises(TypeError):
+        McEstimate(1.0, 0.1, 10, False, 2)
+    with pytest.raises(ValueError):
+        McEstimate(1.0, 0.1, 10, discarded=-1)
+    with pytest.raises(ValueError):
+        McEstimate(1.0, 0.1, 10, path_steps=-1)
+
+
 def test_rng_reproducible_and_stream_separated():
     a = rng_from_seed(12345).random(5)
     b = rng_from_seed(12345).random(5)
