@@ -4,9 +4,9 @@ fancy-index predecessor, and its discard and path-step counts.
 ``indexed_occupation_time_mc`` below is the loop as it was written before
 the live paths moved into contiguous arrays: all n positions stay in one
 (n, 2) array and each step gathers and scatters the live ones through an
-index array.  Both draw the same normals in the same order and do the
-same arithmetic on each path, so the estimates must be equal, not merely
-close.
+index array.  Both draw their increments through the same Box-Muller
+helper, in the same order, and do the same arithmetic on each path, so
+the estimates must be equal, not merely close.
 """
 import math
 
@@ -15,7 +15,7 @@ import pytest
 
 import circmeans.stochastic as stochastic
 from circmeans.core import McEstimate, NumericalFailure, check_alpha, check_radius, rng_from_seed
-from circmeans.stochastic import PathConfig, occupation_time_mc, variance_flag
+from circmeans.stochastic import PathConfig, _gaussian_increments, occupation_time_mc, variance_flag
 
 
 def indexed_occupation_time_mc(y, alpha, cfg, n):
@@ -23,7 +23,6 @@ def indexed_occupation_time_mc(y, alpha, cfg, n):
     alpha = check_alpha(alpha, upper=2.0)
     rng = rng_from_seed(cfg.seed)
     dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
     budget = cfg.steps_budget
     const_integrand = alpha == 2.0
 
@@ -39,7 +38,7 @@ def indexed_occupation_time_mc(y, alpha, cfg, n):
         else:
             w2 = (1.0 + y * pos[idx, 0]) ** 2 + (y * pos[idx, 1]) ** 2
             acc[idx] += dt * w2 ** (0.5 * alpha - 1.0)
-        pos[idx] += sqrt_dt * rng.standard_normal((idx.size, 2))
+        pos[idx] += np.column_stack(_gaussian_increments(rng, idx.size, dt))
         r2 = pos[idx, 0] ** 2 + pos[idx, 1] ** 2
         exited = r2 > 1.0
         if np.any(exited):
@@ -76,15 +75,15 @@ CASES = [(1.0, 2.0), (0.0, 1.0), (0.0, 2.0)] + [
 
 
 class CountingGenerator:
-    """Delegates to a Generator and counts the normals drawn."""
+    """Delegates to a Generator and counts the uniforms drawn, by dtype."""
 
     def __init__(self, rng):
         self._rng = rng
-        self.normals = 0
+        self.uniforms = {"float64": 0, "float32": 0}
 
-    def standard_normal(self, size):
-        out = self._rng.standard_normal(size)
-        self.normals += out.size
+    def random(self, size, dtype=np.float64):
+        out = self._rng.random(size, dtype=dtype)
+        self.uniforms[out.dtype.name] += out.size
         return out
 
 
@@ -103,25 +102,25 @@ class TestLivePathLoopExact:
         assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, seed=2**63 + 5), 1_000)
 
     def test_accepted_discards(self):
-        # At seed 63 the four slowest of 5000 paths need more than 2900
+        # At seed 63 the four slowest of 5000 paths need more than 2800
         # steps: 4 discards, under the limit of 5.
-        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2900, seed=63), 5_000)
+        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2800, seed=63), 5_000)
         assert est.discarded == 4
 
     def test_rejected_discards_same_message(self):
-        # At seed 62, 3 of 1000 paths need more than 2400 steps; the limit is 1.
-        cfg = PathConfig(dt=1e-3, max_steps=2400, seed=62)
+        # At seed 62, 3 of 1000 paths need more than 2600 steps; the limit is 1.
+        cfg = PathConfig(dt=1e-3, max_steps=2600, seed=62)
         with pytest.raises(NumericalFailure) as old:
             indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000)
         with pytest.raises(NumericalFailure) as new:
             occupation_time_mc(0.5, 1.5, cfg, 1_000)
-        assert str(new.value) == str(old.value) == "3 of 1000 paths failed to exit within 2400 steps"
+        assert str(new.value) == str(old.value) == "3 of 1000 paths failed to exit within 2600 steps"
         assert math.isnan(new.value.best_estimate)
 
 
 class TestDiscardAndStepCounts:
     def test_one_discard_accepted_and_steps_counted(self, monkeypatch):
-        # At seed 61 exactly one of 1000 paths needs more than 2300 steps.
+        # At seed 61 exactly one of 1000 paths needs more than 2600 steps.
         drawn = []
 
         def counting_rng(seed, stream=0):
@@ -129,11 +128,11 @@ class TestDiscardAndStepCounts:
             return drawn[-1]
 
         monkeypatch.setattr(stochastic, "rng_from_seed", counting_rng)
-        est = occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2300, seed=61), 1_000)
+        est = occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2600, seed=61), 1_000)
         assert est.discarded == 1_000 - est.n == 1
         assert len(drawn) == 1
-        assert 2 * est.path_steps == drawn[0].normals
-        assert est.path_steps > 2300 * est.discarded
+        assert est.path_steps == drawn[0].uniforms["float64"] == drawn[0].uniforms["float32"]
+        assert est.path_steps > 2600 * est.discarded
 
     def test_no_discards_by_default(self):
         est = occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=61), 1_000)

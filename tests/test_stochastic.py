@@ -9,6 +9,7 @@ from circmeans.core import NumericalFailure, rng_from_seed
 from circmeans.disk import area_integral_mean
 from circmeans.stochastic import (
     PathConfig,
+    _gaussian_increments,
     green_radius_cdf,
     mc_area_mean,
     occupation_bias_allowance,
@@ -109,6 +110,66 @@ class TestPathConfig:
             PathConfig(dt=0.0)
         with pytest.raises(ValueError):
             PathConfig(max_steps=0)
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True, np.True_, "3"])
+    def test_rejects_non_integer_max_steps(self, bad):
+        # 2.5 used to become a budget of 2, and True a budget of 1.
+        with pytest.raises(ValueError, match="max_steps must be an integer"):
+            PathConfig(max_steps=bad)
+
+    def test_accepts_numpy_integer_max_steps(self):
+        assert PathConfig(max_steps=np.int64(3)).steps_budget == 3
+
+
+class TestSampleCountValidation:
+    BAD = [1e4, 10_000.0, np.float64(1e4), True, "10000"]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_occupation_rejects_non_integer_n(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            occupation_time_mc(0.5, 1.5, PathConfig(), bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_green_rejects_non_integer_n(self, bad):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            mc_area_mean(0.5, 1.5, bad, rng_from_seed(0))
+
+    def test_numpy_integer_n(self):
+        a = mc_area_mean(0.5, 1.5, np.int64(1_000), rng_from_seed(5))
+        b = mc_area_mean(0.5, 1.5, 1_000, rng_from_seed(5))
+        assert a == b and type(a.n) is int
+
+
+class TestGaussianIncrements:
+    """The Box-Muller helper behind every occupation-time step."""
+
+    N = 1_000_000
+    DT = 1e-3
+
+    @pytest.fixture(scope="class")
+    def draws(self):
+        return _gaussian_increments(rng_from_seed(2024), self.N, self.DT)
+
+    def test_shapes_and_dtype(self, draws):
+        for d in draws:
+            assert d.shape == (self.N,) and d.dtype == np.float64
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_coordinates_standard_normal(self, draws, axis):
+        assert kstest(draws[axis] / math.sqrt(self.DT), "norm").pvalue > 1e-3
+
+    def test_squared_radius_exponential(self, draws):
+        dx, dv = draws
+        assert kstest((dx * dx + dv * dv) / (2.0 * self.DT), "expon").pvalue > 1e-3
+
+    def test_angle_uniform(self, draws):
+        dx, dv = draws
+        turns = np.arctan2(dv, dx) / (2.0 * math.pi) % 1.0
+        assert kstest(turns, "uniform").pvalue > 1e-3
+
+    def test_coordinates_uncorrelated(self, draws):
+        dx, dv = draws
+        assert abs(np.corrcoef(dx, dv)[0, 1]) < 5.0 / math.sqrt(self.N)
 
 
 class TestOccupationTime:
