@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circmeans
 import circmeans.cli as cli
 from circmeans.cli import SweepConfig, fmt, main
 
@@ -264,16 +267,19 @@ class TestMeanCommand:
 
 
 def test_module_entrypoint_exit_codes():
+    # The child interpreter finds the package where this one did.
+    src = str(Path(circmeans.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     ok = subprocess.run(
         [sys.executable, "-m", "circmeans.cli", "mean", "--alpha", "2", "--y", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert ok.returncode == 0
     assert "quadrature" in ok.stdout
     bad = subprocess.run(
         [sys.executable, "-m", "circmeans.cli", "sweep", "--alpha", "1",
          "--tol", "-1", "--out", "/tmp/_circmeans_bad.csv"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert bad.returncode == 2
     assert "error:" in bad.stderr
