@@ -339,7 +339,11 @@ def run_mean(args, stdout=None) -> int:
         elif b == BACKEND_MC_OCCUPATION:
             est = occupation_time_mc(y, alpha, PathConfig(dt=args.dt, seed=args.seed), args.n)
             flag = " variance_warning" if est.variance_warning else ""
-            print(f"mc_occupation   value={fmt(est.mean)} stderr={fmt(est.stderr)} n={est.n}{flag}", file=stdout)
+            print(
+                f"mc_occupation   value={fmt(est.mean)} stderr={fmt(est.stderr)} n={est.n}"
+                f" discarded={est.discarded} path_steps={est.path_steps}{flag}",
+                file=stdout,
+            )
     print(f"log_mean        value={fmt(log_mean(y))} reference={fmt(max(0.0, math.log(y)) if y > 0 else 0.0)}", file=stdout)
     return _EXIT_OK
 

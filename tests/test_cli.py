@@ -258,6 +258,11 @@ class TestMeanCommand:
         for tag in ("quadrature", "series", "area_integral", "mc_green",
                     "mc_occupation", "log_mean"):
             assert tag in out
+        occupation = next(line for line in out.splitlines() if line.startswith("mc_occupation"))
+        fields = dict(f.split("=", 1) for f in occupation.split()[1:] if "=" in f)
+        assert fields["n"] == "5000" and fields["discarded"] == "0"
+        # Mean exit time 1/2 at dt = 1e-3: about 500 steps a path.
+        assert 2_250_000 < int(fields["path_steps"]) < 3_000_000
 
     def test_default_deterministic_trio(self, capsys):
         assert main(["mean", "--alpha", "0.7", "--y", "1.3"]) == 0
