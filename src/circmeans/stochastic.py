@@ -66,11 +66,6 @@ _TWO_PI_F32 = np.float32(2.0 * math.pi)
 # float64 elements are 32 KB an array, so a block's working arrays stay in
 # cache: 8192 measured no faster.
 _BLOCK_ELEMS = 4096
-# Blocks of at most this many steps are summed row by row (about 1.4 us a
-# row).  numpy's cumsum along the step axis costs about 5 ns an element
-# however few the rows, which made 2-8 step blocks cost more per increment
-# than the single steps they replace.
-_LOOP_ROWS = 8
 
 
 def _check_count(name: str, value) -> int:
@@ -186,12 +181,8 @@ def _running_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     out = np.empty((rows.shape[0] + 1, start.size))
     out[0] = start
-    if rows.shape[0] <= _LOOP_ROWS:
-        for j, row in enumerate(rows):
-            np.add(out[j], row, out=out[j + 1])
-    else:
-        out[1:] = rows
-        np.cumsum(out, axis=0, out=out)
+    out[1:] = rows
+    np.cumsum(out, axis=0, out=out)
     return out
 
 
@@ -243,6 +234,11 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
         steps += b
         dx, dv = _gaussian_increments(rng, b * k, dt)
         if b == 1:
+            # The block code below gives the same numbers at b = 1, but its
+            # two-row running sums, exit-row search and fancy indexing made
+            # the four mc cross-check rows at n = 1e4 about 2.5x slower
+            # (0.65-0.92 s against 1.75-2.07 s in all, and 6.5-7.2 s against
+            # 17.3-19.3 s at n = 1e5), since most path-steps have k >= 4096.
             path_steps += k
             acc += occupation(x, v)
             x += dx
