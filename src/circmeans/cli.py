@@ -38,6 +38,7 @@ from .core import (
     BACKENDS,
     DETERMINISTIC_BACKENDS,
     NumericalFailure,
+    check_alpha,
     classify_regime,
     rng_from_seed,
 )
@@ -265,6 +266,10 @@ def mc_crosscheck(
     cfg.validate()
     if n < 10_000:
         raise ValueError("mc crosscheck requires n >= 10000")
+    # Reject a bad dt or alpha before --out is opened, not after some rows.
+    PathConfig(dt=dt)
+    for alpha in cfg.alphas:
+        check_alpha(alpha, upper=2.0)
     ys = cfg.grid()
     failures = []
     stream = 0

@@ -164,9 +164,10 @@ class McEstimate:
 
     Path simulations also report their work: ``discarded`` paths that
     never finished (and are not among the ``n``) and ``path_steps``, the
-    number of single-path steps the paths took (one uniform pair each in
-    :func:`~circmeans.stochastic.occupation_time_mc`; the uniforms a block
-    of steps draws for a path after it exits are not counted).
+    number of single-path steps live paths took (one uniform pair each in
+    :func:`~circmeans.stochastic.occupation_time_mc`; the uniforms drawn
+    for the slot of an exited path before it is compacted away, and those
+    a block of steps draws for a path after it exits, are not counted).
     Estimators that simulate no paths leave both at 0.
     """
 

@@ -19,13 +19,15 @@ mechanisms:
       1 + (alpha^2 y^2 / 2) * E[functional].
 
   Each 2-D increment is drawn exactly by Box-Muller from one uniform
-  pair (Box & Muller 1958).  Only the live paths are stepped, in
-  contiguous arrays compacted by a boolean mask as paths exit.  Once few
-  paths are live, several steps are drawn and taken in one block of about
-  4096 increments, so the per-step call overhead does not dominate the
-  tail; the estimate reports its ``discarded`` paths and its
-  ``path_steps``.  Discrete monitoring exits
-  late, so the estimate carries an O(sqrt(dt)) upward bias;
+  pair (Box & Muller 1958).  Paths are stepped in contiguous slot arrays;
+  a path that exits is frozen in its slot (x = NaN) and the arrays are
+  compacted by one boolean mask only once frozen slots exceed 1/16 of
+  them.  Frozen slots still draw, and those draws are not path-steps.
+  Once at most 455 paths are live, at least 9 steps are drawn and taken
+  in one block of about 4096 increments, so the per-step call overhead
+  does not dominate the tail; the estimate reports its ``discarded``
+  paths and its ``path_steps``.  Discrete monitoring exits late, so the
+  estimate carries an O(sqrt(dt)) upward bias;
   :func:`occupation_bias_allowance` quantifies the calibrated allowance
   that statistical gates should add.
 
@@ -60,12 +62,15 @@ _MAX_DISCARD_FRACTION = 1e-3
 _TWO_PI_F32 = np.float32(2.0 * math.pi)
 
 # Elements drawn per block of steps in occupation_time_mc.  With k live
-# paths, b = max(1, _BLOCK_ELEMS // k) steps are drawn and taken at once, so
-# the fixed cost of a step's numpy calls (20-50 us) is paid once a block,
-# not once a step; that cost dominates once k falls to a few hundred.  4096
-# float64 elements are 32 KB an array, so a block's working arrays stay in
-# cache: 8192 measured no faster.
+# paths, b = _BLOCK_ELEMS // k steps are drawn and taken at once when b is
+# at least _MIN_BLOCK, so the fixed cost of a step's numpy calls (20-50 us)
+# is paid once a block, not once a step; that cost dominates once k falls
+# to a few hundred.  4096 float64 elements are 32 KB an array, so a block's
+# working arrays stay in cache: 8192 measured no faster.  numpy's cumsum
+# along the step axis costs 5-8 ns an element however few the rows, so
+# blocks of 2-8 steps cost more per increment than single steps.
 _BLOCK_ELEMS = 4096
+_MIN_BLOCK = 9
 
 
 def _check_count(name: str, value) -> int:
@@ -165,8 +170,8 @@ def _gaussian_increments(rng: np.random.Generator, k: int, dt: float) -> tuple[n
     tail cut at 8.6 sigma that the 2^-53 grid of U imposes.
     """
     r = rng.random(k)
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
+    np.subtract(1.0, r, out=r)      # exact on the 2^-53 grid of U
+    np.log(r, out=r)
     r *= -2.0 * dt
     np.sqrt(r, out=r)
     theta = rng.random(k, dtype=np.float32)
@@ -191,18 +196,21 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
 
     Each path starts at the origin, advances by N(0, dt) increments per
     coordinate, and stops at its first sample outside the unit disk; the
-    integrand is accumulated at left endpoints.  Only live paths are
-    stepped: their coordinates, sums and original indices sit in
-    contiguous arrays kept in path order, and one boolean mask drops the
-    paths that exit.  With k live paths, b = max(1, 4096 // k) steps (never
-    past the budget) are drawn in one call, step-major, and taken at once
-    by cumulative sums in the step loop's order; a path that exits inside a
+    integrand is summed at left endpoints and the sums are scaled by dt at
+    the end.  Paths sit in contiguous slot arrays (coordinates, sums and
+    original indices) kept in path order.  A single step draws and steps
+    every slot; a path that exits is frozen in its slot by x = NaN, which
+    no later step moves back inside the disk, and one boolean mask drops
+    the frozen slots once they exceed 1/16 of all slots, and before any
+    block.  With k live paths and b = 4096 // k >= 9, b steps (never past
+    the budget) are drawn in one call, step-major, and taken at once by
+    cumulative sums in the step loop's order; a path that exits inside a
     block stops there and the rest of its increments are dropped.  Paths
     that fail to exit within the step budget are discarded; more than 0.1%
     discards aborts the run.  The estimate reports ``discarded`` and
-    ``path_steps``, the steps paths took (one Box-Muller uniform pair each,
-    not counting the dropped draws).  Identical (cfg, n) always produce
-    the same estimate.
+    ``path_steps``, the steps live paths took (one Box-Muller uniform pair
+    each, not counting the draws of frozen slots or the dropped draws).
+    Identical (cfg, n) always produce the same estimate.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
@@ -212,64 +220,74 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     rng = rng_from_seed(cfg.seed)
     dt = cfg.dt
     budget = cfg.steps_budget
-    const_integrand = alpha == 2.0
+    power = 0.5 * alpha - 1.0
 
-    def occupation(xs, vs):
-        """dt times the integrand at each position (left endpoints)."""
-        if const_integrand:
-            return np.full(xs.shape, dt)
+    def integrand(xs, vs):
+        """|1 + y z|^(alpha - 2) at each position z = x + iv."""
+        if power == 0.0:
+            return np.ones(xs.shape)
         w2 = (1.0 + y * xs) ** 2 + (y * vs) ** 2
-        return dt * w2 ** (0.5 * alpha - 1.0)
+        np.log(w2, out=w2)
+        w2 *= power
+        return np.exp(w2, out=w2)
 
-    x = np.zeros(n)             # live paths' coordinates
+    x = np.zeros(n)             # the slots' coordinates (NaN once frozen)
     v = np.zeros(n)
-    acc = np.zeros(n)           # their occupation sums
+    acc = np.zeros(n)           # their integrand sums
     ids = np.arange(n)          # their indices among the n paths
+    frozen = 0                  # slots of exited paths not yet compacted
     totals = np.full(n, math.nan)
     path_steps = 0
     steps = 0
-    while ids.size and steps < budget:
+    while steps < budget and ids.size > frozen:
         k = ids.size
-        b = min(budget - steps, max(1, _BLOCK_ELEMS // k))
-        steps += b
-        dx, dv = _gaussian_increments(rng, b * k, dt)
-        if b == 1:
-            # The block code below gives the same numbers at b = 1, but its
-            # two-row running sums, exit-row search and fancy indexing made
-            # the four mc cross-check rows at n = 1e4 about 2.5x slower
-            # (0.65-0.92 s against 1.75-2.07 s in all, and 6.5-7.2 s against
-            # 17.3-19.3 s at n = 1e5), since most path-steps have k >= 4096.
-            path_steps += k
-            acc += occupation(x, v)
+        live = k - frozen
+        block = _BLOCK_ELEMS // live >= _MIN_BLOCK
+        if frozen and (block or frozen * 16 > k):
+            keep = ~np.isnan(x)
+            x, v, acc, ids = x[keep], v[keep], acc[keep], ids[keep]
+            k, frozen = live, 0
+        if not block:
+            steps += 1
+            path_steps += live
+            dx, dv = _gaussian_increments(rng, k, dt)
+            acc += integrand(x, v)
             x += dx
             v += dv
-            exited = x ** 2 + v ** 2 > 1.0
-            if exited.any():
-                totals[ids[exited]] = acc[exited]
-                live = ~exited
-                x, v, acc, ids = x[live], v[live], acc[live], ids[live]
+            out = np.flatnonzero(x ** 2 + v ** 2 > 1.0)
+            if out.size:
+                totals[ids[out]] = acc[out]
+                x[out] = math.nan
+                frozen += out.size
             continue
+        # The block code gives the same numbers for single steps, but its
+        # running sums, exit-row search and fancy indexing made the four mc
+        # cross-check rows at n = 1e4 about 2.5x slower when it took the
+        # single steps at k > 2048, where most path-steps are.
+        b = min(budget - steps, _BLOCK_ELEMS // k)
+        steps += b
+        dx, dv = _gaussian_increments(rng, b * k, dt)
         # Row j of xs, vs and sums holds the live paths before step j of
-        # the block, each summed one step at a time as the b = 1 step does.
+        # the block, each summed one step at a time as a single step does.
         xs = _running_sums(x, dx.reshape(b, k))
         vs = _running_sums(v, dv.reshape(b, k))
-        sums = _running_sums(acc, occupation(xs[:-1], vs[:-1]))
+        sums = _running_sums(acc, integrand(xs[:-1], vs[:-1]))
         outside = xs[1:] ** 2 + vs[1:] ** 2 > 1.0
         exited = outside.any(axis=0)
         out = np.flatnonzero(exited)
         taken = outside[:, out].argmax(axis=0) + 1     # steps each exiting path took
         path_steps += b * (k - out.size) + int(taken.sum())
         totals[ids[out]] = sums[taken, out]
-        live = ~exited
-        x, v, acc, ids = xs[b][live], vs[b][live], sums[b][live], ids[live]
-    discarded = ids.size
+        keep = ~exited
+        x, v, acc, ids = xs[b][keep], vs[b][keep], sums[b][keep], ids[keep]
+    discarded = ids.size - frozen
     if discarded > _MAX_DISCARD_FRACTION * n:
         raise NumericalFailure(
             f"{discarded} of {n} paths failed to exit within {budget} steps",
             best_estimate=math.nan,
         )
     finished = totals[~np.isnan(totals)]
-    scale = 0.5 * alpha * alpha * y * y
+    scale = 0.5 * alpha * alpha * y * y * dt
     samples = 1.0 + scale * finished
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))

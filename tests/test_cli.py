@@ -231,6 +231,13 @@ class TestMcCommand:
         assert main(["mc", "--alpha", "1.5", "--n", "5000",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("flags", [["--alpha", "1.5", "--dt", "0.01"], ["--alpha", "1.5,3"]])
+    def test_bad_dt_or_alpha_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        assert main(["mc", *flags, "--n", "10000", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_flag_rejected(self, tmp_path, capsys):
         # The MC gates are set in sigmas and the bias allowance, not by a tolerance.
         with pytest.raises(SystemExit) as exc:

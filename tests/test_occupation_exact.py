@@ -1,13 +1,15 @@
-"""The block-stepped live-path loop of ``occupation_time_mc`` against a
-one-step-at-a-time fancy-index oracle, and its discard and path-step counts.
+"""The slot loop of ``occupation_time_mc`` against a one-step-at-a-time
+fancy-index oracle, and its discard and path-step counts.
 
 ``indexed_occupation_time_mc`` below keeps all n positions in one (n, 2)
 array and gathers and scatters the live ones through an index array.  It
-draws each block of increments through the same Box-Muller helper with the
-same block-size rule, then advances one step at a time through the
-block's rows, dropping the increments of paths that exit inside the block.
-It does the same arithmetic on each path in the same order, so the
-estimates must be equal, not merely close.
+keeps the same slot schedule: every slot draws, exited paths included,
+until the same rule compacts the slots, and blocks follow the same
+block-size rule.  It draws through the same Box-Muller helper, then
+advances only the live paths, one step at a time through a block's rows,
+so the increments of exited paths are dropped.  It does the same
+arithmetic on each path in the same order, so the estimates must be
+equal, not merely close.
 """
 import math
 
@@ -20,55 +22,60 @@ from circmeans.stochastic import (
     _BLOCK_ELEMS, PathConfig, _gaussian_increments, occupation_time_mc, variance_flag)
 
 
-def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None):
-    """The estimate, stepping one step at a time; appends each block's
-    (steps, live paths) to ``blocks`` when given."""
+def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None):
+    """The estimate, stepping one step at a time; appends each draw's
+    (steps, slots, live paths) to ``blocks`` when given.  ``max_discards``
+    replaces the 0.1% discard limit when given."""
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
     rng = rng_from_seed(cfg.seed)
     dt = cfg.dt
     budget = cfg.steps_budget
-    const_integrand = alpha == 2.0
+    power = 0.5 * alpha - 1.0
 
     pos = np.zeros((n, 2))
     acc = np.zeros(n)
-    idx = np.arange(n)
+    exited = np.zeros(n, dtype=bool)
+    slots = np.arange(n)        # the paths that draw, exited ones included
     totals = np.full(n, math.nan)
     path_steps = 0
     steps = 0
-    while idx.size and steps < budget:
-        k = idx.size
-        b = min(budget - steps, max(1, _BLOCK_ELEMS // k))
+    while steps < budget and not exited[slots].all():
+        live = np.count_nonzero(~exited[slots])
+        b = _BLOCK_ELEMS // live
+        if b >= 9 or (slots.size - live) * 16 > slots.size:
+            slots = slots[~exited[slots]]
+        b = min(budget - steps, b) if b >= 9 else 1
+        k = slots.size
         steps += b
         if blocks is not None:
-            blocks.append((b, k))
+            blocks.append((b, k, live))
         dx, dv = _gaussian_increments(rng, b * k, dt)
         rows = np.stack((dx.reshape(b, k), dv.reshape(b, k)), axis=-1)
-        col = np.arange(k)      # the live paths' columns in this block's rows
         for j in range(b):
+            col = np.flatnonzero(~exited[slots])    # the live paths' columns
+            idx = slots[col]
             if idx.size == 0:
                 break
             path_steps += idx.size
-            if const_integrand:
-                acc[idx] += dt
+            if power == 0.0:
+                acc[idx] += 1.0
             else:
                 w2 = (1.0 + y * pos[idx, 0]) ** 2 + (y * pos[idx, 1]) ** 2
-                acc[idx] += dt * w2 ** (0.5 * alpha - 1.0)
+                acc[idx] += np.exp(power * np.log(w2))
             pos[idx] += rows[j, col]
             r2 = pos[idx, 0] ** 2 + pos[idx, 1] ** 2
-            exited = r2 > 1.0
-            if np.any(exited):
-                done = idx[exited]
-                totals[done] = acc[done]
-                idx, col = idx[~exited], col[~exited]
-    discarded = idx.size
-    if discarded > 1e-3 * n:
+            done = idx[r2 > 1.0]
+            exited[done] = True
+            totals[done] = acc[done]
+    discarded = np.count_nonzero(~exited)
+    if discarded > (1e-3 * n if max_discards is None else max_discards):
         raise NumericalFailure(
             f"{discarded} of {n} paths failed to exit within {budget} steps",
             best_estimate=math.nan,
         )
     finished = totals[~np.isnan(totals)]
-    scale = 0.5 * alpha * alpha * y * y
+    scale = 0.5 * alpha * alpha * y * y * dt
     samples = 1.0 + scale * finished
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
@@ -122,36 +129,51 @@ class TestLivePathLoopExact:
         assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, seed=2**63 + 5), 1_000)
 
     def test_accepted_discards(self):
-        # At seed 63, 4 of 5000 paths are still inside after 2600 steps,
+        # At seed 63, 4 of 5000 paths are still inside after 2335 steps,
         # under the limit of 5.
-        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2600, seed=63), 5_000)
+        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2335, seed=63), 5_000)
         assert est.discarded == 4
 
     def test_budget_ends_inside_a_tail_block(self):
-        # At seed 61 the budget of 2850 steps cuts the last block, of 3
-        # live paths, to 501 steps, and the last path exits inside it.
+        # At seed 61 the budget of 2850 steps cuts the last block, of 2
+        # live paths, to 602 steps, and the last path exits inside it.
         blocks = []
         est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2850, seed=61), 1_000, blocks)
-        last_b, last_k = blocks[-1]
-        assert sum(b for b, _ in blocks) == 2850
+        last_b, last_k, last_live = blocks[-1]
+        assert sum(b for b, _, _ in blocks) == 2850
+        assert last_k == last_live
         assert 1 < last_b < _BLOCK_ELEMS // last_k
         assert est.discarded == 0
 
+    def test_budget_ends_with_frozen_slots(self, monkeypatch):
+        # At seed 61 the budget of 300 steps ends in the single steps, with
+        # exited paths still in their slots; only live paths are discarded.
+        monkeypatch.setattr(stochastic, "_MAX_DISCARD_FRACTION", 1.0)
+        cfg = PathConfig(dt=1e-3, max_steps=300, seed=61)
+        blocks = []
+        new = occupation_time_mc(0.5, 1.5, cfg, 1_000)
+        old = indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000, blocks, max_discards=1_000)
+        assert fields(new) == fields(old)
+        last_b, last_k, last_live = blocks[-1]
+        assert len(blocks) == 300 and last_b == 1
+        assert last_k > last_live >= new.discarded
+        assert new.discarded == 1_000 - new.n == 691
+
     def test_rejected_discards_same_message(self):
-        # At seed 62, 3 of 1000 paths are still inside after 2160 steps; the limit is 1.
-        cfg = PathConfig(dt=1e-3, max_steps=2160, seed=62)
+        # At seed 62, 3 of 1000 paths are still inside after 2350 steps; the limit is 1.
+        cfg = PathConfig(dt=1e-3, max_steps=2350, seed=62)
         with pytest.raises(NumericalFailure) as old:
             indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000)
         with pytest.raises(NumericalFailure) as new:
             occupation_time_mc(0.5, 1.5, cfg, 1_000)
-        assert str(new.value) == str(old.value) == "3 of 1000 paths failed to exit within 2160 steps"
+        assert str(new.value) == str(old.value) == "3 of 1000 paths failed to exit within 2350 steps"
         assert math.isnan(new.value.best_estimate)
 
 
 class TestDiscardAndStepCounts:
     def test_one_discard_accepted_and_steps_counted(self, monkeypatch):
-        # At seed 61 exactly one of 1000 paths is still inside after 2800 steps.
-        cfg = PathConfig(dt=1e-3, max_steps=2800, seed=61)
+        # At seed 61 exactly one of 1000 paths is still inside after 2500 steps.
+        cfg = PathConfig(dt=1e-3, max_steps=2500, seed=61)
         oracle = indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000)
         drawn = []
 
@@ -163,9 +185,9 @@ class TestDiscardAndStepCounts:
         est = occupation_time_mc(0.5, 1.5, cfg, 1_000)
         assert est.discarded == 1_000 - est.n == 1
         assert est.path_steps == oracle.path_steps
-        assert est.path_steps > 2800 * est.discarded
-        # One uniform pair a step taken, plus the pairs dropped after
-        # exits inside a block.
+        assert est.path_steps > 2500 * est.discarded
+        # One uniform pair a step taken, plus the pairs drawn for frozen
+        # slots and those dropped after exits inside a block.
         assert len(drawn) == 1
         assert drawn[0].uniforms["float64"] == drawn[0].uniforms["float32"] >= est.path_steps
 

@@ -171,6 +171,21 @@ class TestGaussianIncrements:
         dx, dv = draws
         assert abs(np.corrcoef(dx, dv)[0, 1]) < 5.0 / math.sqrt(self.N)
 
+    def test_extreme_uniforms(self):
+        # U = 0 gives radius 0; U = 1 - 2^-53, the largest float64 uniform,
+        # gives the tail cut sqrt(2 * 53 ln 2) = 8.57 sigma, not an infinity.
+        class EdgeGenerator:
+            def random(self, size, dtype=np.float64):
+                if dtype == np.float32:
+                    return np.full(size, 0.125, dtype=np.float32)
+                return np.array([0.0, 1.0 - 2.0**-53])
+
+        dx, dv = _gaussian_increments(EdgeGenerator(), 2, self.DT)
+        assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dv))
+        radius = np.hypot(dx, dv) / math.sqrt(self.DT)
+        assert radius[0] == 0.0
+        assert radius[1] == pytest.approx(math.sqrt(106.0 * math.log(2.0)), rel=1e-7)
+
 
 class TestOccupationTime:
     def test_exit_time_mean(self):
