@@ -168,7 +168,8 @@ class McEstimate:
     :func:`~circmeans.stochastic.occupation_time_mc`; the uniforms drawn
     for the slot of an exited path before it is compacted away, and those
     a block of steps draws for a path after it exits, are not counted).
-    Estimators that simulate no paths leave both at 0.
+    Both are totals over all paths, whichever chunk or worker process ran
+    them.  Estimators that simulate no paths leave both at 0.
     """
 
     mean: float

@@ -26,7 +26,11 @@ mechanisms:
   Once at most 455 paths are live, at least 9 steps are drawn and taken
   in one block of about 4096 increments, so the per-step call overhead
   does not dominate the tail; the estimate reports its ``discarded``
-  paths and its ``path_steps``.  Discrete monitoring exits late, so the
+  paths and its ``path_steps``.  From n = 10000 on, the paths run in
+  n // 5000 chunks (at most 16), chunk i from stream i of the seed, and
+  the chunks run across a pool of forked worker processes, one per usable
+  CPU; the estimate depends on the seed and n alone, never on the number
+  of workers.  Discrete monitoring exits late, so the
   estimate carries an O(sqrt(dt)) upward bias;
   :func:`occupation_bias_allowance` quantifies the calibrated allowance
   that statistical gates should add.
@@ -40,8 +44,16 @@ patched with a biasing truncation.
 """
 from __future__ import annotations
 
+import atexit
+import ctypes
 import math
+import multiprocessing
 import operator
+import os
+import signal
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +83,14 @@ _TWO_PI_F32 = np.float32(2.0 * math.pi)
 # blocks of 2-8 steps cost more per increment than single steps.
 _BLOCK_ELEMS = 4096
 _MIN_BLOCK = 9
+
+# occupation_time_mc runs its n paths in max(1, min(16, n // 5000))
+# chunks, each from its own stream of the seed.  Chunks of 5000 paths or
+# more hold a chunk's fixed cost (at dt = 1e-3 about 20 ms a chunk against
+# 15 us a path, fitted over 500-20000 paths) to a fifth of its time or
+# less; 16 chunks share out n = 1e6 evenly over 2, 4, 8 or 16 workers.
+_CHUNK_PATHS = 5_000
+_MAX_CHUNKS = 16
 
 
 def _check_count(name: str, value) -> int:
@@ -191,35 +211,16 @@ def _running_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEstimate:
-    """Occupation-time estimate along Euler-discretized Brownian paths.
+def _occupation_chunk(y: float, alpha: float, dt: float, budget: int, seed: int,
+                      chunk: int, m: int) -> tuple[np.ndarray, int, int]:
+    """Steps m paths from the origin, drawing from ``rng_from_seed(seed, chunk)``.
 
-    Each path starts at the origin, advances by N(0, dt) increments per
-    coordinate, and stops at its first sample outside the unit disk; the
-    integrand is summed at left endpoints and the sums are scaled by dt at
-    the end.  Paths sit in contiguous slot arrays (coordinates, sums and
-    original indices) kept in path order.  A single step draws and steps
-    every slot; a path that exits is frozen in its slot by x = NaN, which
-    no later step moves back inside the disk, and one boolean mask drops
-    the frozen slots once they exceed 1/16 of all slots, and before any
-    block.  With k live paths and b = 4096 // k >= 9, b steps (never past
-    the budget) are drawn in one call, step-major, and taken at once by
-    cumulative sums in the step loop's order; a path that exits inside a
-    block stops there and the rest of its increments are dropped.  Paths
-    that fail to exit within the step budget are discarded; more than 0.1%
-    discards aborts the run.  The estimate reports ``discarded`` and
-    ``path_steps``, the steps live paths took (one Box-Muller uniform pair
-    each, not counting the draws of frozen slots or the dropped draws).
-    Identical (cfg, n) always produce the same estimate.
+    Returns ``(totals, path_steps, discarded)``: the paths' integrand sums,
+    not yet scaled by dt, in path order and NaN for the ``discarded`` paths
+    still inside after ``budget`` steps, and the steps live paths took.
+    :func:`occupation_time_mc` describes the slot schedule.
     """
-    y = check_radius(y)
-    alpha = check_alpha(alpha, upper=2.0)
-    n = _check_count("n", n)
-    if n < 1_000:
-        raise ValueError("n must be at least 1000")
-    rng = rng_from_seed(cfg.seed)
-    dt = cfg.dt
-    budget = cfg.steps_budget
+    rng = rng_from_seed(seed, chunk)
     power = 0.5 * alpha - 1.0
 
     def integrand(xs, vs):
@@ -231,12 +232,12 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
         w2 *= power
         return np.exp(w2, out=w2)
 
-    x = np.zeros(n)             # the slots' coordinates (NaN once frozen)
-    v = np.zeros(n)
-    acc = np.zeros(n)           # their integrand sums
-    ids = np.arange(n)          # their indices among the n paths
+    x = np.zeros(m)             # the slots' coordinates (NaN once frozen)
+    v = np.zeros(m)
+    acc = np.zeros(m)           # their integrand sums
+    ids = np.arange(m)          # their indices among the m paths
     frozen = 0                  # slots of exited paths not yet compacted
-    totals = np.full(n, math.nan)
+    totals = np.full(m, math.nan)
     path_steps = 0
     steps = 0
     while steps < budget and ids.size > frozen:
@@ -280,14 +281,141 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
         totals[ids[out]] = sums[taken, out]
         keep = ~exited
         x, v, acc, ids = xs[b][keep], vs[b][keep], sums[b][keep], ids[keep]
-    discarded = ids.size - frozen
+    return totals, path_steps, ids.size - frozen
+
+
+def _chunk_sizes(n: int) -> list[int]:
+    """Path counts of the chunks of an n-path run; n alone fixes them."""
+    c = max(1, min(_MAX_CHUNKS, n // _CHUNK_PATHS))
+    q, r = divmod(n, c)
+    return [q + 1] * r + [q] * (c - r)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+# The chunk pool as (creator's pid, workers, executor), created by the
+# first call that can use two workers.  Workers are forked: a spawn or
+# forkserver worker imports the caller's __main__ again, which breaks a
+# script that calls occupation_time_mc at module level.
+_pool = None
+
+_PR_SET_PDEATHSIG = 1       # from <linux/prctl.h>
+
+
+def _end_with_parent(parent: int) -> None:
+    """Chunk pool initializer: on Linux, the worker is killed when its parent
+    dies, so a caller killed by a signal leaves no idle workers behind."""
+    try:
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):   # no prctl on this platform
+        return
+    if os.getppid() != parent:          # the parent died before prctl
+        os._exit(1)
+
+
+def _chunk_pool(workers: int) -> ProcessPoolExecutor:
+    """The chunk pool with at least ``workers`` workers, this process's own."""
+    global _pool
+    pid = os.getpid()
+    if _pool is not None and _pool[0] == pid:
+        if _pool[1] >= workers:
+            return _pool[2]
+        _pool[2].shutdown()
+    # A pool inherited by a forked child belongs to its parent: replace it.
+    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_end_with_parent, initargs=(pid,))
+    _pool = (pid, workers, executor)
+    return executor
+
+
+@atexit.register
+def _shutdown_pool() -> None:
+    # Shut down while the interpreter is whole: an executor collected
+    # during interpreter teardown reports an ignored AttributeError.
+    global _pool
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].shutdown()
+    _pool = None
+
+
+def _run_chunks(args: list[tuple]) -> list[tuple[np.ndarray, int, int]]:
+    """``_occupation_chunk(*a)`` for each a, in order, across the chunk pool.
+
+    In-process when one worker would do; off the main thread, so that one
+    thread alone creates and uses the pool, and that no worker dies with
+    the thread that forked it; in a multiprocessing child, since a
+    daemonic one may not start children and any other joins its children
+    before their pool shuts down, so it would never exit; and where fork
+    is not available.
+    """
+    global _pool
+    workers = min(len(args), _usable_cpus())
+    if (workers < 2 or threading.current_thread() is not threading.main_thread()
+            or multiprocessing.parent_process() is not None
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return [_occupation_chunk(*a) for a in args]
+    try:
+        return list(_chunk_pool(workers).map(_occupation_chunk, *zip(*args)))
+    except BrokenProcessPool:
+        _pool = None            # a worker died; the next call starts afresh
+        raise
+
+
+def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEstimate:
+    """Occupation-time estimate along Euler-discretized Brownian paths.
+
+    The n paths are split into c = n // 5000 chunks, at least 1 and at
+    most 16, the first n % c of them one path larger; chunk i draws from
+    ``rng_from_seed(cfg.seed, i)``, so chunk 0 of a run with n < 10000 is
+    the whole run.  The chunks run across a pool of forked workers, one
+    per usable CPU (the process's CPU affinity) up to c, and in-process
+    when one worker would do, off the main thread, in a multiprocessing
+    child or without fork.  Their sums are joined in chunk order before
+    the discard rule, the mean and the stderr apply to all n paths, so the
+    estimate depends on (cfg, n) alone, never on the worker count.
+
+    Each path starts at the origin, advances by N(0, dt) increments per
+    coordinate, and stops at its first sample outside the unit disk; the
+    integrand is summed at left endpoints and the sums are scaled by dt at
+    the end.  Paths sit in contiguous slot arrays (coordinates, sums and
+    original indices) kept in path order.  A single step draws and steps
+    every slot; a path that exits is frozen in its slot by x = NaN, which
+    no later step moves back inside the disk, and one boolean mask drops
+    the frozen slots once they exceed 1/16 of all slots, and before any
+    block.  With k live paths and b = 4096 // k >= 9, b steps (never past
+    the budget) are drawn in one call, step-major, and taken at once by
+    cumulative sums in the step loop's order; a path that exits inside a
+    block stops there and the rest of its increments are dropped.  Paths
+    that fail to exit within the step budget are discarded; more than 0.1%
+    discards aborts the run.  The estimate reports ``discarded`` and
+    ``path_steps``, the steps live paths took (one Box-Muller uniform pair
+    each, not counting the draws of frozen slots or the dropped draws),
+    summed over the chunks.
+    """
+    y = check_radius(y)
+    alpha = check_alpha(alpha, upper=2.0)
+    n = _check_count("n", n)
+    if n < 1_000:
+        raise ValueError("n must be at least 1000")
+    budget = cfg.steps_budget
+    chunks = _run_chunks([(y, alpha, cfg.dt, budget, cfg.seed, i, m)
+                          for i, m in enumerate(_chunk_sizes(n))])
+    totals = np.concatenate([t for t, _, _ in chunks])
+    path_steps = sum(s for _, s, _ in chunks)
+    discarded = sum(d for _, _, d in chunks)
     if discarded > _MAX_DISCARD_FRACTION * n:
         raise NumericalFailure(
             f"{discarded} of {n} paths failed to exit within {budget} steps",
             best_estimate=math.nan,
         )
     finished = totals[~np.isnan(totals)]
-    scale = 0.5 * alpha * alpha * y * y * dt
+    scale = 0.5 * alpha * alpha * y * y * cfg.dt
     samples = 1.0 + scale * finished
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))

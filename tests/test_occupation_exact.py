@@ -1,5 +1,6 @@
 """The slot loop of ``occupation_time_mc`` against a one-step-at-a-time
-fancy-index oracle, and its discard and path-step counts.
+fancy-index oracle, its split into chunks, and its discard and path-step
+counts.
 
 ``indexed_occupation_time_mc`` below keeps all n positions in one (n, 2)
 array and gathers and scatters the live ones through an index array.  It
@@ -22,13 +23,11 @@ from circmeans.stochastic import (
     _BLOCK_ELEMS, PathConfig, _gaussian_increments, occupation_time_mc, variance_flag)
 
 
-def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None):
-    """The estimate, stepping one step at a time; appends each draw's
-    (steps, slots, live paths) to ``blocks`` when given.  ``max_discards``
-    replaces the 0.1% discard limit when given."""
-    y = check_radius(y)
-    alpha = check_alpha(alpha, upper=2.0)
-    rng = rng_from_seed(cfg.seed)
+def indexed_totals(y, alpha, cfg, n, stream=0, blocks=None):
+    """(totals, path_steps, discarded) of n paths drawn from stream
+    ``stream`` of the seed, stepping one step at a time; appends each
+    draw's (steps, slots, live paths) to ``blocks`` when given."""
+    rng = rng_from_seed(cfg.seed, stream)
     dt = cfg.dt
     budget = cfg.steps_budget
     power = 0.5 * alpha - 1.0
@@ -68,19 +67,34 @@ def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None)
             done = idx[r2 > 1.0]
             exited[done] = True
             totals[done] = acc[done]
-    discarded = np.count_nonzero(~exited)
+    return totals, path_steps, np.count_nonzero(~exited)
+
+
+def estimate_from_totals(y, alpha, cfg, n, totals, path_steps, discarded, max_discards=None):
+    """The estimate from all n paths' sums.  ``max_discards`` replaces the
+    0.1% discard limit when given."""
+    budget = cfg.steps_budget
     if discarded > (1e-3 * n if max_discards is None else max_discards):
         raise NumericalFailure(
             f"{discarded} of {n} paths failed to exit within {budget} steps",
             best_estimate=math.nan,
         )
     finished = totals[~np.isnan(totals)]
-    scale = 0.5 * alpha * alpha * y * y * dt
+    scale = 0.5 * alpha * alpha * y * y * cfg.dt
     samples = 1.0 + scale * finished
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / math.sqrt(samples.size))
     return McEstimate(mean, stderr, int(samples.size), variance_flag(y, alpha),
                       discarded=discarded, path_steps=path_steps)
+
+
+def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None, stream=0):
+    """The estimate of n paths drawn from stream ``stream`` of the seed,
+    stepping one step at a time; ``blocks`` as for :func:`indexed_totals`."""
+    y = check_radius(y)
+    alpha = check_alpha(alpha, upper=2.0)
+    return estimate_from_totals(y, alpha, cfg, n, *indexed_totals(y, alpha, cfg, n, stream, blocks),
+                                max_discards=max_discards)
 
 
 def fields(est):
@@ -168,6 +182,27 @@ class TestLivePathLoopExact:
             occupation_time_mc(0.5, 1.5, cfg, 1_000)
         assert str(new.value) == str(old.value) == "3 of 1000 paths failed to exit within 2350 steps"
         assert math.isnan(new.value.best_estimate)
+
+
+class TestChunksExact:
+    @pytest.mark.parametrize("n, sizes", [(10_000, [5_000, 5_000]), (10_001, [5_001, 5_000])])
+    def test_chunks_joined_in_stream_order(self, n, sizes):
+        # From n = 10000 on, the paths run in n // 5000 chunks, chunk i
+        # from stream i of the seed, the first n % c chunks one path larger.
+        cfg = PathConfig(dt=1e-3, seed=64)
+        parts = [indexed_totals(0.5, 1.5, cfg, m, stream=i) for i, m in enumerate(sizes)]
+        totals = np.concatenate([t for t, _, _ in parts])
+        old = estimate_from_totals(0.5, 1.5, cfg, n, totals,
+                                   sum(s for _, s, _ in parts), sum(d for _, _, d in parts))
+        new = occupation_time_mc(0.5, 1.5, cfg, n)
+        assert fields(new) == fields(old)
+        assert new.discarded == n - new.n
+
+    def test_chunk_zero_is_the_whole_run_below_10000(self):
+        cfg = PathConfig(dt=1e-3, seed=65)
+        totals, path_steps, discarded = indexed_totals(2.0, 0.5, cfg, 9_999)
+        assert fields(occupation_time_mc(2.0, 0.5, cfg, 9_999)) == fields(
+            estimate_from_totals(2.0, 0.5, cfg, 9_999, totals, path_steps, discarded))
 
 
 class TestDiscardAndStepCounts:

@@ -1,4 +1,13 @@
 import math
+import multiprocessing
+import os
+import pickle
+import select
+import signal
+import subprocess
+import sys
+import textwrap
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +16,7 @@ from scipy.stats import kstest
 from circmeans.circle import mean_quadrature
 from circmeans.core import NumericalFailure, rng_from_seed
 from circmeans.disk import area_integral_mean
+import circmeans.stochastic as stochastic
 from circmeans.stochastic import (
     PathConfig,
     _gaussian_increments,
@@ -231,6 +241,108 @@ class TestOccupationTime:
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
             occupation_time_mc(0.5, 1.0, PathConfig(), 500)
+
+
+def _chunked_estimate():
+    """The n = 10000 estimate that TestChunkPool compares, at module level so
+    that a multiprocessing worker can run it."""
+    return occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=91), 10_000)
+
+
+def _send_chunked_estimate(queue):
+    queue.put(_chunked_estimate())
+
+
+class TestChunkPool:
+    """From n = 10000 on, occupation_time_mc runs its chunks across a pool of
+    forked workers; the estimate must not depend on where they ran."""
+
+    def test_pool_equals_in_process(self, monkeypatch):
+        pooled = _chunked_estimate()
+        if stochastic._usable_cpus() >= 2:
+            assert stochastic._pool is not None and stochastic._pool[0] == os.getpid()
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(stochastic, "_chunk_pool", None)    # any use would raise
+        assert _chunked_estimate() == pooled
+
+    def test_daemonic_worker_runs_in_process(self):
+        # A multiprocessing.Pool worker is daemonic and may not start children.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            assert pool.apply_async(_chunked_estimate).get(timeout=120) == _chunked_estimate()
+
+    def test_multiprocessing_child_runs_in_process(self):
+        # A non-daemonic child joins its children before their pool shuts
+        # down, so a pool of its own would keep it from exiting.
+        expected = _chunked_estimate()
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(target=_send_chunked_estimate, args=(queue,))
+        child.start()
+        try:
+            assert queue.get(timeout=120) == expected
+            child.join(timeout=120)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_forked_child_starts_its_own_pool(self):
+        # The parent's pool, inherited by an os.fork() child, has no
+        # manager thread there, so the child must start a pool of its own.
+        expected = _chunked_estimate()
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                est = _chunked_estimate()
+                own = stochastic._pool is not None and stochastic._pool[0] == os.getpid()
+                stochastic._shutdown_pool()
+                os.write(write_end, pickle.dumps((est, own)))
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            with os.fdopen(read_end, "rb") as fh:
+                assert select.select([fh], [], [], 120)[0], "the forked child hung"
+                est, own = pickle.loads(fh.read())
+        finally:
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        assert est == expected
+        assert own or stochastic._usable_cpus() < 2
+
+    def test_off_main_thread_runs_in_process(self, monkeypatch):
+        expected = _chunked_estimate()
+        monkeypatch.setattr(stochastic, "_chunk_pool", None)
+        with ThreadPoolExecutor(1) as pool:
+            assert pool.submit(_chunked_estimate).result(timeout=120) == expected
+
+    def test_script_without_main_guard(self, tmp_path):
+        script = tmp_path / "no_guard.py"
+        script.write_text(textwrap.dedent("""\
+            from circmeans.stochastic import PathConfig, occupation_time_mc
+            print(repr(occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=91), 10_000)))
+            """))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout.strip() == repr(_chunked_estimate())
+
+    def test_discards_counted_over_all_chunks(self):
+        cfg = PathConfig(dt=1e-3, max_steps=5, seed=1)
+        with pytest.raises(NumericalFailure, match="^10000 of 10000 paths failed to exit within 5 steps$"):
+            occupation_time_mc(0.5, 1.0, cfg, 10_000)
+
+    def test_chunk_sizes(self):
+        assert stochastic._chunk_sizes(9_999) == [9_999]
+        assert stochastic._chunk_sizes(10_001) == [5_001, 5_000]
+        assert stochastic._chunk_sizes(1_000_000) == [62_500] * 16
+        assert stochastic._chunk_sizes(2_000_003) == [125_001] * 3 + [125_000] * 13
 
 
 class TestBiasAllowance:
