@@ -47,13 +47,10 @@ from __future__ import annotations
 import atexit
 import ctypes
 import math
-import multiprocessing
 import operator
 import os
 import signal
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,8 +316,11 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _chunk_pool(workers: int) -> ProcessPoolExecutor:
+def _chunk_pool(workers: int):
     """The chunk pool with at least ``workers`` workers, this process's own."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool
     pid = os.getpid()
     if _pool is not None and _pool[0] == pid:
@@ -356,9 +356,15 @@ def _run_chunks(args: list[tuple]) -> list[tuple[np.ndarray, int, int]]:
     """
     global _pool
     workers = min(len(args), _usable_cpus())
-    if (workers < 2 or threading.current_thread() is not threading.main_thread()
-            or multiprocessing.parent_process() is not None
-            or "fork" not in multiprocessing.get_all_start_methods()):
+    if workers < 2 or threading.current_thread() is not threading.main_thread():
+        return [_occupation_chunk(*a) for a in args]
+    # Imported here and in _chunk_pool: multiprocessing and the executor
+    # take about 2.5 MB and 10 ms to import, which runs that never reach
+    # the pool should not pay.
+    import multiprocessing
+    from concurrent.futures.process import BrokenProcessPool
+
+    if multiprocessing.parent_process() is not None or "fork" not in multiprocessing.get_all_start_methods():
         return [_occupation_chunk(*a) for a in args]
     try:
         return list(_chunk_pool(workers).map(_occupation_chunk, *zip(*args)))

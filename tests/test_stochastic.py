@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -255,22 +256,26 @@ def _send_chunked_estimate(queue):
 
 class TestChunkPool:
     """From n = 10000 on, occupation_time_mc runs its chunks across a pool of
-    forked workers; the estimate must not depend on where they ran."""
+    forked workers; the estimate must not depend on where they ran.  Tests
+    that need the pool report two usable CPUs, whatever the host has."""
 
-    def test_pool_equals_in_process(self, monkeypatch):
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
+
+    def test_pool_equals_in_process(self, monkeypatch, two_cpus):
         pooled = _chunked_estimate()
-        if stochastic._usable_cpus() >= 2:
-            assert stochastic._pool is not None and stochastic._pool[0] == os.getpid()
+        assert stochastic._pool is not None and stochastic._pool[0] == os.getpid()
         monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(stochastic, "_chunk_pool", None)    # any use would raise
         assert _chunked_estimate() == pooled
 
-    def test_daemonic_worker_runs_in_process(self):
+    def test_daemonic_worker_runs_in_process(self, two_cpus):
         # A multiprocessing.Pool worker is daemonic and may not start children.
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply_async(_chunked_estimate).get(timeout=120) == _chunked_estimate()
 
-    def test_multiprocessing_child_runs_in_process(self):
+    def test_multiprocessing_child_runs_in_process(self, two_cpus):
         # A non-daemonic child joins its children before their pool shuts
         # down, so a pool of its own would keep it from exiting.
         expected = _chunked_estimate()
@@ -287,7 +292,7 @@ class TestChunkPool:
                 child.kill()
                 child.join()
 
-    def test_forked_child_starts_its_own_pool(self):
+    def test_forked_child_starts_its_own_pool(self, two_cpus):
         # The parent's pool, inherited by an os.fork() child, has no
         # manager thread there, so the child must start a pool of its own.
         expected = _chunked_estimate()
@@ -311,9 +316,9 @@ class TestChunkPool:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         assert est == expected
-        assert own or stochastic._usable_cpus() < 2
+        assert own
 
-    def test_off_main_thread_runs_in_process(self, monkeypatch):
+    def test_off_main_thread_runs_in_process(self, monkeypatch, two_cpus):
         expected = _chunked_estimate()
         monkeypatch.setattr(stochastic, "_chunk_pool", None)
         with ThreadPoolExecutor(1) as pool:
@@ -332,6 +337,14 @@ class TestChunkPool:
         assert done.returncode == 0
         assert done.stderr == ""
         assert done.stdout.strip() == repr(_chunked_estimate())
+
+    def test_broken_pool_replaced_on_next_call(self, two_cpus):
+        expected = _chunked_estimate()
+        with pytest.raises(BrokenProcessPool):      # a worker dies abruptly
+            stochastic._chunk_pool(2).submit(os._exit, 1).result(timeout=120)
+        with pytest.raises(BrokenProcessPool):
+            _chunked_estimate()
+        assert _chunked_estimate() == expected
 
     def test_discards_counted_over_all_chunks(self):
         cfg = PathConfig(dt=1e-3, max_steps=5, seed=1)
