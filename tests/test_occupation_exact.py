@@ -88,12 +88,12 @@ def estimate_from_totals(y, alpha, cfg, n, totals, path_steps, discarded, max_di
                       discarded=discarded, path_steps=path_steps)
 
 
-def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None, stream=0):
-    """The estimate of n paths drawn from stream ``stream`` of the seed,
+def indexed_occupation_time_mc(y, alpha, cfg, n, blocks=None, max_discards=None):
+    """The estimate of n paths from stream 0 of the seed, one chunk,
     stepping one step at a time; ``blocks`` as for :func:`indexed_totals`."""
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
-    return estimate_from_totals(y, alpha, cfg, n, *indexed_totals(y, alpha, cfg, n, stream, blocks),
+    return estimate_from_totals(y, alpha, cfg, n, *indexed_totals(y, alpha, cfg, n, blocks=blocks),
                                 max_discards=max_discards)
 
 
@@ -199,10 +199,7 @@ class TestChunksExact:
         assert new.discarded == n - new.n
 
     def test_chunk_zero_is_the_whole_run_below_10000(self):
-        cfg = PathConfig(dt=1e-3, seed=65)
-        totals, path_steps, discarded = indexed_totals(2.0, 0.5, cfg, 9_999)
-        assert fields(occupation_time_mc(2.0, 0.5, cfg, 9_999)) == fields(
-            estimate_from_totals(2.0, 0.5, cfg, 9_999, totals, path_steps, discarded))
+        assert_same_estimate(2.0, 0.5, PathConfig(dt=1e-3, seed=65), 9_999)
 
 
 class TestDiscardAndStepCounts:
