@@ -38,6 +38,7 @@ from .core import (
     DEFAULT_SERIES_TOL,
     MeanResult,
     check_alpha,
+    check_integer,
     check_radius,
     check_tol,
 )
@@ -80,8 +81,11 @@ def binomial_series_mean(
     (values, worst tail bound over the array, terms used).  The tail
     bound is never underestimated; when ``max_terms`` is hit before the
     bound clears ``tol``, the honest bound is returned rather than
-    raising.
+    raising.  ``max_terms`` must be an integer >= 1 (Python or numpy).
     """
+    max_terms = check_integer("max_terms", max_terms)
+    if max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms!r}")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any((t < 0.0) | (t > 1.0)):
         raise ValueError("series domain is 0 <= t <= 1")
@@ -97,10 +101,13 @@ def _hyp2f1_series(
 ) -> tuple[np.ndarray, float, int]:
     """Gauss series F(-b, -b; c; z) = sum_k C(b, k)^2 k!/(c)_k z^k, 0 <= z <= 1.
 
-    The package's one 2F1 summation.  Terms go _BLOCK at a time: the
-    block's powers come from one sequential product along the rows and
-    its coefficients from the scalar recurrence C(b, k) = C(b, k-1)
-    (b-k+1)/k, times the factor k!/(c)_k, which is exactly 1 at c = 1.
+    The package's one 2F1 summation, with one code path for every c.
+    Terms go _BLOCK at a time: the block's powers come from one
+    sequential product along the rows, and its coefficients from one
+    recurrence on the whole coefficient, C(b, k)^2 k!/(c)_k = previous
+    * (b + 1 - k)^2 / (k (c - 1 + k)), whose factors are formed as one
+    array and multiplied up by one sequential accumulate, the first
+    factor taking the coefficient carried over from the previous block.
     The tail bound after each block assumes term ratios <= z from
     k = max(3, ceil|b| + 2) on (true for c = 1, b > -1, and for the
     connection families of :mod:`circmeans.disk` at every k); at c = 1
@@ -108,8 +115,7 @@ def _hyp2f1_series(
     Returns (values, worst tail bound over the array, terms used).
     """
     values = np.ones_like(z)          # k = 0 term
-    coeff = 1.0                        # C(b, k) at current k
-    ratio = 1.0                        # k!/(c)_k at current k
+    coeff = 1.0                        # C(b, k)^2 k!/(c)_k at current k
     k = 0
     k_min = max(3, int(math.ceil(abs(b))) + 2)
     harmonic_ok = c == 1.0 and b > -0.45
@@ -120,16 +126,12 @@ def _hyp2f1_series(
     tail = math.inf
     while k < max_terms:
         nblk = min(_BLOCK, max_terms - k)
-        cs = []
-        for kk in range(k + 1, k + 1 + nblk):
-            coeff = coeff * (b - kk + 1.0) / kk
-            cs.append(coeff)
-        cs = np.array(cs) ** 2
-        if c != 1.0:
-            ks = np.arange(k + 1.0, k + 1.0 + nblk)
-            ratios = np.multiply.accumulate(np.concatenate(([ratio], ks / (c + ks - 1.0))))
-            ratio = ratios[-1]
-            cs = cs * ratios[1:]
+        ks = np.arange(k + 1.0, k + 1.0 + nblk)
+        f = b + 1.0 - ks
+        cs = f * f / (ks * (c - 1.0 + ks))
+        cs[0] *= coeff
+        np.multiply.accumulate(cs, out=cs)
+        coeff = cs[-1]
         powers = np.multiply.accumulate(steps[:, :nblk], axis=1)
         values = values + powers @ cs
         steps[:, 0] = powers[:, -1] * z
@@ -140,10 +142,10 @@ def _hyp2f1_series(
             tail = 0.0
             break
         if k >= k_min:
-            last_term = cs[-1] * powers[:, -1]
+            last_term = coeff * powers[:, -1]
             bound = last_term * geo
             if harmonic_ok:
-                bound = np.minimum(bound, last_term * (k + 1.0) / (1.0 + 2.0 * b))
+                bound = np.minimum(bound, last_term * ((k + 1.0) / (1.0 + 2.0 * b)))
             tail = float(np.max(bound))
             if tail <= tol:
                 break
@@ -185,6 +187,7 @@ def mean_series(
     the evaluation into the unit disk of convergence.  At y = 1 the
     series converges slowly for small alpha; the returned truncation
     carries the honest (possibly large) tail bound instead of failing.
+    ``max_terms`` must be an integer >= 1.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
@@ -86,6 +87,19 @@ def check_tol(tol: float) -> float:
     if not math.isfinite(tol) or tol <= 0.0:
         raise ValueError(f"tolerance must be a finite positive real, got {tol!r}")
     return tol
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; bools, floats and other non-integers raise ValueError.
+
+    Accepts Python and numpy integers of any size.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class BranchRegime(enum.Enum):
@@ -194,7 +208,10 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
     Distinct streams derived from the same seed are statistically
     independent; aggregating shards in a fixed stream order makes
-    estimates reproducible regardless of scheduling.
+    estimates reproducible regardless of scheduling.  Seed and stream
+    must be integers (floats, bools and strings raise ValueError); the
+    seed is taken modulo 2^64.
     """
-    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(int(stream),)))
+    seed = check_integer("seed", seed) & 0xFFFFFFFFFFFFFFFF
+    stream = check_integer("stream", stream)
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))

@@ -81,8 +81,9 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     directly, so radii within 1e-300 of the circle are handled without
     forming 1 - u.  For |alpha - 1| <= 1e-6 (where the two gamma
     prefactors blow up individually) the alpha = 1 closed form
-    m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead.  alpha = 2
-    returns 1 identically.
+    m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead, off by
+    about |alpha - 1| ln(1/u) / 2 relative.  alpha = 2 returns 1
+    identically.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size == 0:

@@ -47,7 +47,6 @@ from __future__ import annotations
 import atexit
 import ctypes
 import math
-import operator
 import os
 import signal
 import threading
@@ -55,7 +54,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import McEstimate, NumericalFailure, check_alpha, check_radius, rng_from_seed
+from .core import (
+    McEstimate,
+    NumericalFailure,
+    check_alpha,
+    check_integer,
+    check_radius,
+    rng_from_seed,
+)
 from .disk import inner_mean
 
 # Upward bias of discretized exit functionals is ~ BIAS_COEFF * sqrt(dt)
@@ -90,16 +96,6 @@ _CHUNK_PATHS = 5_000
 _MAX_CHUNKS = 16
 
 
-def _check_count(name: str, value) -> int:
-    """``value`` as an int; bools, floats and other non-integers raise ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class PathConfig:
     """Euler discretization parameters for exit-time simulations.
@@ -107,7 +103,8 @@ class PathConfig:
     ``max_steps * dt`` must be comfortably larger than typical exit
     times (mean 1/2): with the default 8/dt steps the probability that a
     path fails to exit is below 1e-6, so discards stay far under the
-    rejection threshold.
+    rejection threshold.  ``max_steps`` and ``seed`` must be integers
+    (Python or numpy; floats, bools and strings raise ValueError).
     """
 
     dt: float = 1e-3
@@ -117,8 +114,9 @@ class PathConfig:
     def __post_init__(self):
         if not (math.isfinite(self.dt) and 0.0 < self.dt <= 1e-3):
             raise ValueError(f"dt must lie in (0, 1e-3], got {self.dt!r}")
-        if self.max_steps is not None and _check_count("max_steps", self.max_steps) < 1:
+        if self.max_steps is not None and check_integer("max_steps", self.max_steps) < 1:
             raise ValueError("max_steps must be a positive integer")
+        check_integer("seed", self.seed)
 
     @property
     def steps_budget(self) -> int:
@@ -166,7 +164,7 @@ def mc_area_mean(y: float, alpha: float, n: int, rng: np.random.Generator) -> Mc
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
-    n = _check_count("n", n)
+    n = check_integer("n", n)
     if n < 1_000:
         raise ValueError("n must be at least 1000")
     z = sample_green_points(rng, n)
@@ -406,7 +404,7 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
-    n = _check_count("n", n)
+    n = check_integer("n", n)
     if n < 1_000:
         raise ValueError("n must be at least 1000")
     budget = cfg.steps_budget

@@ -167,6 +167,32 @@ class TestBinomialSeriesCore:
             assert vals[0] == pytest.approx(ref, abs=1e-12 + tail)
 
 
+class TestMaxTermsValidation:
+    # 2.5 used to leak a TypeError; 0 and -5 returned 1.0 with one term
+    # and an infinite tail.
+    @pytest.mark.parametrize("bad", [2.5, 3.0, np.float64(3.0), True, "3", None])
+    def test_rejects_non_integer(self, bad):
+        with pytest.raises(ValueError, match="max_terms must be an integer"):
+            mean_series(0.5, 1.0, max_terms=bad)
+        with pytest.raises(ValueError, match="max_terms must be an integer"):
+            binomial_series_mean(np.array([0.5]), 1.0, 1e-10, max_terms=bad)
+
+    @pytest.mark.parametrize("bad", [0, -5, np.int64(0)])
+    def test_rejects_below_one(self, bad):
+        with pytest.raises(ValueError, match="max_terms must be at least 1"):
+            mean_series(0.5, 1.0, max_terms=bad)
+        with pytest.raises(ValueError, match="max_terms must be at least 1"):
+            binomial_series_mean(np.array([0.5]), 1.0, 1e-10, max_terms=bad)
+
+    @pytest.mark.parametrize("cap", [1, 3, 100])
+    def test_accepts_numpy_integers(self, cap):
+        for typ in (np.int32, np.int64, np.uint16):
+            got, trunc = mean_series(0.9, 0.5, max_terms=typ(cap))
+            ref, _ = mean_series(0.9, 0.5, max_terms=cap)
+            assert got == ref and type(got.work) is int
+            assert trunc.terms_used == cap + 1
+
+
 class TestInversionSymmetry:
     def test_examples(self):
         assert inversion_symmetry(2.0, 1.0) == (2.0, 0.5)

@@ -9,6 +9,7 @@ from circmeans.core import (
     McEstimate,
     MeanResult,
     check_alpha,
+    check_integer,
     check_radius,
     check_tol,
     classify_regime,
@@ -112,6 +113,34 @@ def test_mc_estimate_work_counts():
         McEstimate(1.0, 0.1, 10, discarded=-1)
     with pytest.raises(ValueError):
         McEstimate(1.0, 0.1, 10, path_steps=-1)
+
+
+@pytest.mark.parametrize("good", [0, -3, 2**70, np.int64(7), np.uint64(2**64 - 1), np.int8(-1)])
+def test_check_integer_accepts_integers(good):
+    got = check_integer("x", good)
+    assert type(got) is int and got == int(good)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(3.0), True, np.True_, "3", None, 1 + 0j])
+def test_check_integer_rejects_non_integers(bad):
+    with pytest.raises(ValueError, match="x must be an integer"):
+        check_integer("x", bad)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, np.float64(2.0), True, np.True_, "2"])
+def test_rng_rejects_non_integer_seed(bad):
+    # 2.5 used to give seed 2's stream, and True seed 1's.
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        rng_from_seed(bad)
+    with pytest.raises(ValueError, match="stream must be an integer"):
+        rng_from_seed(2, bad)
+
+
+def test_rng_accepts_numpy_and_wide_integer_seeds():
+    assert np.array_equal(rng_from_seed(np.int64(5), np.int32(1)).random(4), rng_from_seed(5, 1).random(4))
+    # Seeds are taken modulo 2^64.
+    assert np.array_equal(rng_from_seed(2**64 + 9).random(4), rng_from_seed(9).random(4))
+    assert np.array_equal(rng_from_seed(np.uint64(2**64 - 1)).random(4), rng_from_seed(-1).random(4))
 
 
 def test_rng_reproducible_and_stream_separated():

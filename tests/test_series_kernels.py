@@ -1,9 +1,9 @@
 """The block-vectorised 2F1 series kernel against its term-by-term loops,
 and the near-circle inner means against mpmath.
 
-The loop versions below do the kernel's per-term work one term at a
-time: the binomial one is the kernel as it was written before that work
-went into whole-block array operations, the c != 1 one follows it.  The
+The loop version below does the kernel's per-term work one term at a
+time, for c = 1 and c != 1 alike: the coefficient recurrence the kernel
+runs as one accumulate per block runs here as a Python loop.  The
 arithmetic is meant to be the same operation for operation, so values,
 tail bounds and term counts must be equal, not merely close.
 """
@@ -24,41 +24,46 @@ from circmeans.disk import inner_mean_near_one
 EPS = np.finfo(float).eps
 
 
-def loop_binomial_series_mean(t, beta, tol, *, max_terms=500_000):
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    b = 0.5 * beta
-    t2 = t * t
-    values = np.ones_like(t)
+def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
+    """The kernel term by term: the coefficient C(b, k)^2 k!/(c)_k times
+    (b + 1 - k)^2 / (k (c - 1 + k)) per term, summed 64 terms a block."""
+    values = np.ones_like(z)
     coeff = 1.0
-    p_next = t2.copy()
+    p_next = z.copy()
     k = 0
     k_min = max(3, int(math.ceil(abs(b))) + 2)
-    harmonic_ok = beta > -0.9
+    harmonic_ok = c == 1.0 and b > -0.45
     tail = math.inf
     while k < max_terms:
         nblk = min(64, max_terms - k)
         cs = np.empty(nblk)
         for j in range(nblk):
             kk = k + 1 + j
-            coeff = coeff * (b - kk + 1.0) / kk
+            f = b + 1.0 - kk
+            coeff = coeff * (f * f / (kk * (c - 1.0 + kk)))
             cs[j] = coeff
-        powers = _loop_powers(p_next, t2, nblk)
-        values = values + powers @ (cs**2)
-        p_next = powers[:, -1] * t2
+        powers = _loop_powers(p_next, z, nblk)
+        values = values + powers @ cs
+        p_next = powers[:, -1] * z
         k += nblk
         if coeff == 0.0:
             tail = 0.0
             break
         if k >= k_min:
-            last_term = cs[-1] ** 2 * powers[:, -1]
-            geo = np.where(t2 < 1.0, t2 / np.maximum(1.0 - t2, 1e-300), np.inf)
-            bound = last_term * geo
+            last = coeff * powers[:, -1]
+            geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
+            bound = last * geo
             if harmonic_ok:
-                bound = np.minimum(bound, last_term * (k + 1.0) / (1.0 + beta))
+                bound = np.minimum(bound, last * ((k + 1.0) / (1.0 + 2.0 * b)))
             tail = float(np.max(bound))
             if tail <= tol:
                 break
     return values, tail, k + 1
+
+
+def loop_binomial_series_mean(t, beta, tol, *, max_terms=500_000):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    return loop_hyp2f1_series(t * t, 0.5 * beta, 1.0, tol, max_terms=max_terms)
 
 
 def _loop_powers(p_start, t2, n):
@@ -67,35 +72,6 @@ def _loop_powers(p_start, t2, n):
     for j in range(1, n):
         out[:, j] = out[:, j - 1] * t2
     return out
-
-
-def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
-    """The kernel at c != 1: coefficients C(b, k)^2 k!/(c)_k term by term."""
-    values = np.ones_like(z)
-    coeff = 1.0
-    ratio = 1.0
-    p_next = z.copy()
-    k = 0
-    k_min = max(3, int(math.ceil(abs(b))) + 2)
-    tail = math.inf
-    while k < max_terms:
-        nblk = min(64, max_terms - k)
-        cs = np.empty(nblk)
-        for j in range(nblk):
-            kk = k + 1 + j
-            coeff = coeff * (b - kk + 1.0) / kk
-            ratio = ratio * (kk / (c + kk - 1.0))
-            cs[j] = coeff * coeff * ratio
-        powers = _loop_powers(p_next, z, nblk)
-        values = values + powers @ cs
-        p_next = powers[:, -1] * z
-        k += nblk
-        if k >= k_min:
-            geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
-            tail = float(np.max(cs[-1] * powers[:, -1] * geo))
-            if tail <= tol:
-                break
-    return values, tail, k + 1
 
 
 def assert_same_series(t, beta, tol, **kw):
@@ -227,6 +203,47 @@ class TestNearOneAgainstMpmath:
             for ui, g in zip(part, got):
                 ref = 1 / mp.agm(2 - mp.mpf(ui), mp.mpf(ui))
                 assert abs(g - ref) <= 4.0 * EPS * ref, ui
+
+
+class TestDegenerateBandAgainstMpmath:
+    """inner_mean_near_one on both sides of |alpha - 1| = 1e-6.
+
+    Inside the band the alpha = 1 value stands in, so the error is that
+    value's first-order error in alpha: about |alpha - 1| ln(1/u) / 2
+    relative, 1e-6 relative only for u near 0.1 and 3.5e-4 at u = 1e-300
+    when |alpha - 1| = 1e-6.  Just outside the band the two connection
+    families cancel worst (their gamma prefactors grow like 1/|alpha - 1|)
+    and the error stays below 2e-10 relative.  In floating point
+    1 + 1e-6 lies inside the band and 1 - 1e-6 just outside it.
+    """
+
+    U = np.array([1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5])
+
+    @staticmethod
+    def reference(u, alpha):
+        # F(a, a; 1; t^2) at t = 1 - u, a = 1 - alpha/2, with enough
+        # digits to hold 1 - u.
+        with mp.workdps(40 - int(math.log10(u))):
+            a = 1 - mp.mpf(alpha) / 2
+            t = 1 - mp.mpf(u)
+            return mp.hyp2f1(a, a, 1, t * t)
+
+    def relative_errors(self, alpha):
+        got = inner_mean_near_one(self.U, alpha)
+        return [float(abs(g - self.reference(u, alpha)) / self.reference(u, alpha))
+                for u, g in zip(self.U, got)]
+
+    @pytest.mark.parametrize("alpha", [1 + 1e-7, 1 - 1e-7, 1 + 1e-6, 1 - 1e-6])
+    def test_in_and_at_the_band(self, alpha):
+        for u, rel in zip(self.U, self.relative_errors(alpha)):
+            assert rel <= abs(alpha - 1.0) * (1.0 + 0.5 * math.log(1.0 / u)), (alpha, u, rel)
+            if u >= 0.1:
+                assert rel <= 1e-6, (alpha, u, rel)
+
+    @pytest.mark.parametrize("alpha", [1 + 2e-6, 1 - 2e-6, 1 + 1e-5, 1 - 1e-5])
+    def test_just_outside_the_band(self, alpha):
+        for u, rel in zip(self.U, self.relative_errors(alpha)):
+            assert rel <= 1e-9, (alpha, u, rel)
 
 
 def test_package_import_leaves_scipy_out():

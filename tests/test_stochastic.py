@@ -131,6 +131,16 @@ class TestPathConfig:
     def test_accepts_numpy_integer_max_steps(self):
         assert PathConfig(max_steps=np.int64(3)).steps_budget == 3
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, np.True_, "2", None])
+    def test_rejects_non_integer_seed(self, bad):
+        # 2.7 used to run seed 2's paths.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            PathConfig(seed=bad)
+
+    @pytest.mark.parametrize("good", [np.int64(3), np.uint64(2**63 + 5), 2**63 + 5, -1])
+    def test_accepts_integer_seeds(self, good):
+        assert PathConfig(seed=good).seed == good
+
 
 class TestSampleCountValidation:
     BAD = [1e4, 10_000.0, np.float64(1e4), True, "10000"]
