@@ -25,11 +25,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .circle import circle_modulus_sq, log_mean, mean_quadrature
+from .circle import log_mean, mean_quadrature, power_mean_integral
 from .core import check_alpha, check_radius, check_tol, large_branch_threshold
-from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
 
 def mid_bound(y: float, alpha: float) -> float:
@@ -108,7 +105,8 @@ def am_gm_sandwich(y: float, r: float, tol: float = 1e-10) -> tuple[float, float
         mid   = exp(mean of ln f),
         upper = (mean of f^r)^(1/r),
 
-    so that lower <= mid <= upper, with mid = max{1, y}.  The negative
+    so that lower <= mid <= upper, with mid = max{1, y}; all three come
+    from :func:`~circmeans.circle.power_mean_integral`.  The negative
     exponent mean diverges for y = 1 when r >= 1 (the integrand grows
     like (pi - theta)^(-r) at the zero of f); that case is rejected with
     the offending exponent named.
@@ -118,33 +116,7 @@ def am_gm_sandwich(y: float, r: float, tol: float = 1e-10) -> tuple[float, float
     if not (math.isfinite(r) and r > 0.0):
         raise ValueError(f"exponent r must be a finite positive real, got {r!r}")
     tol = check_tol(tol)
-    if y == 0.0:
-        return 1.0, 1.0, 1.0
-    if y == 1.0 and r >= 1.0:
-        raise ValueError(
-            f"negative power mean diverges at y = 1 for exponent -r = {-r}; requires r < 1"
-        )
-
-    half = -0.5 * r
-
-    def f(theta):
-        return circle_modulus_sq(theta, y) ** half / math.pi
-
-    if y == 1.0:
-        # |1+zeta|^(-r) ~ (pi-theta)^(-r) blows up at theta = pi; the
-        # flank needs the distance-parameterized tanh-sinh rule.
-        cut = 0.5
-        v1, _, _ = integrate_adaptive(f, 0.0, math.pi - cut, 0.5 * tol)
-        v2, _, _ = integrate_tanhsinh_singular(
-            lambda s: (2.0 * np.sin(0.5 * s)) ** -r / math.pi,
-            cut,
-            1.0 - r,
-            0.5 * tol,
-        )
-        value = v1 + v2
-    else:
-        value, _, _ = integrate_adaptive(f, 0.0, math.pi, tol, breakpoints=(0.5 * math.pi,))
-    lower = value ** (-1.0 / r)
+    lower = power_mean_integral(y, -r, tol)[0] ** (-1.0 / r)
     upper = mean_quadrature(y, r, tol).value ** (1.0 / r)
     mid = math.exp(log_mean(y, tol))
     return lower, mid, upper

@@ -8,10 +8,10 @@ the alpha-power mean of |1 + y*zeta| over the unit circle with normalized
 arc measure (the theta <-> -theta symmetry halves the domain).  Two
 independent routes are provided:
 
-* :func:`mean_quadrature` -- adaptive Gauss-Kronrod on theta.  The
-  integrand is evaluated in the cancellation-free form
-  (1-y)^2 + 4 y sin^2((pi-th)/2), which stays accurate near th = pi
-  where the integrand of small exponents is steep for y ~ 1.
+* :func:`mean_quadrature` -- :func:`power_mean_integral`, the one theta
+  rule for every real exponent (also behind :func:`log_mean` at p = 0):
+  Gauss-Kronrod on panels graded toward th = pi with the cancellation-free
+  integrand (1-y)^2 + 4 y sin^2((pi-th)/2), and tanh-sinh at y = 1.
 
 * :func:`mean_series` -- the everywhere-nonnegative power series
   sum_k C(alpha/2, k)^2 y^(2k) on y <= 1 (squared generalized binomial
@@ -37,12 +37,13 @@ from .core import (
     DEFAULT_QUAD_TOL,
     DEFAULT_SERIES_TOL,
     MeanResult,
+    NumericalFailure,
     check_alpha,
     check_integer,
     check_radius,
     check_tol,
 )
-from .quadrature import integrate_adaptive
+from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
 _BLOCK = 64
 
@@ -152,8 +153,50 @@ def _hyp2f1_series(
     return values, tail, k + 1
 
 
+def power_mean_integral(y: float, p: float, tol: float) -> tuple[float, float, int]:
+    """(1/pi) int_0^pi |1 + y e^{i th}|^p dth for real p, or at p = 0 the
+    same average of ln|1 + y e^{i th}|; returns (value, error, evals).
+
+    Off y = 1: adaptive Gauss-Kronrod from panel edges pi/2 and
+    pi - 4^j |1 - y| (j >= 0, while below pi/2), so the first panels
+    resolve the feature of width |1 - y| at th = pi.  At y = 1: one
+    tanh-sinh call in s = pi - th on the unsquared |1 + zeta| = 2 sin(s/2);
+    p <= -1 diverges there and is rejected.  A missed ``tol`` raises
+    :class:`~circmeans.core.NumericalFailure` with the whole integral's
+    best estimate.  Callers validate y and tol.
+    """
+    if y == 0.0:
+        return float(p != 0.0), 0.0, 0
+    if y == 1.0:
+        if p <= -1.0:
+            raise ValueError(f"power mean diverges at y = 1 for exponent p = {p}; requires p > -1")
+
+        def q(s: np.ndarray) -> np.ndarray:
+            w = 2.0 * np.sin(0.5 * s)
+            return (np.log(w) if p == 0.0 else w**p) / math.pi
+
+        value, err, n_eval = integrate_tanhsinh_singular(q, math.pi, 1.0 + p, tol)
+        if err > tol:
+            raise NumericalFailure(
+                f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",
+                best_estimate=value, error_estimate=err, work=n_eval,
+            )
+        return value, err, n_eval
+
+    def f(theta: np.ndarray) -> np.ndarray:
+        m = circle_modulus_sq(theta, y)
+        return (0.5 * np.log(m) if p == 0.0 else m ** (0.5 * p)) / math.pi
+
+    edges = [0.5 * math.pi]
+    d = abs(1.0 - y)
+    while d < 0.5 * math.pi:
+        edges.append(math.pi - d)
+        d *= 4.0
+    return integrate_adaptive(f, 0.0, math.pi, tol, breakpoints=tuple(edges))
+
+
 def mean_quadrature(y: float, alpha: float, tol: float = DEFAULT_QUAD_TOL) -> MeanResult:
-    """Circular mean of |1 + y*zeta|^alpha by adaptive quadrature.
+    """Circular mean of |1 + y*zeta|^alpha by :func:`power_mean_integral`.
 
     Accepts any alpha > 0 (wider than the sharp-constant range, so the
     same evaluator can serve exponent probes above 2).  Raises
@@ -163,14 +206,7 @@ def mean_quadrature(y: float, alpha: float, tol: float = DEFAULT_QUAD_TOL) -> Me
     y = check_radius(y)
     alpha = check_alpha(alpha)
     tol = check_tol(tol)
-    if y == 0.0:
-        return MeanResult(1.0, 0.0, BACKEND_QUADRATURE, 0)
-    half = 0.5 * alpha
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return circle_modulus_sq(theta, y) ** half / math.pi
-
-    value, err, n_eval = integrate_adaptive(f, 0.0, math.pi, tol, breakpoints=(0.5 * math.pi,))
+    value, err, n_eval = power_mean_integral(y, alpha, tol)
     return MeanResult(value, err, BACKEND_QUADRATURE, n_eval)
 
 
@@ -218,22 +254,11 @@ def inversion_symmetry(y: float, alpha: float) -> tuple[float, float]:
 
 
 def log_mean(y: float, tol: float = 1e-10) -> float:
-    """Mean of ln|1 + y*zeta| over the unit circle, by quadrature.
-
-    The integrable logarithmic singularity at zeta = -1 for y = 1 is
-    handled by panel refinement toward theta = pi; interior-node panels
-    never sample the singular point itself.  The value agrees with
-    max{0, ln y} (Jensen), which the test suite asserts.
+    """Mean of ln|1 + y*zeta| over the unit circle: :func:`power_mean_integral`
+    at p = 0, which also covers the log singularity at y = 1 and raises
+    :class:`~circmeans.core.NumericalFailure` on a missed ``tol``.  The
+    value agrees with max{0, ln y} (Jensen), which the test suite asserts.
     """
     y = check_radius(y)
     tol = check_tol(tol)
-    if y == 0.0:
-        return 0.0
-
-    def f(theta: np.ndarray) -> np.ndarray:
-        return 0.5 * np.log(circle_modulus_sq(theta, y)) / math.pi
-
-    value, _, _ = integrate_adaptive(
-        f, 0.0, math.pi, tol, breakpoints=(0.5 * math.pi,), raise_on_failure=(y != 1.0)
-    )
-    return value
+    return power_mean_integral(y, 0.0, tol)[0]

@@ -219,7 +219,7 @@ def emit_figure_data(alphas, ys, out_dir: str, stdout=None) -> list[str]:
             fh.write("y,mean,mid_bound,target_bound\n")
             for y in ys:
                 y = float(y)
-                mean = 1.0 if y == 0.0 else mean_quadrature(y, alpha).value
+                mean = mean_quadrature(y, alpha).value
                 fh.write(
                     f"{fmt(y)},{fmt(mean)},{fmt(mid_bound(y, alpha))},{fmt(target_bound(y, alpha))}\n"
                 )

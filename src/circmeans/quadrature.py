@@ -86,7 +86,6 @@ def integrate_adaptive(
     *,
     breakpoints: tuple[float, ...] = (),
     max_panels: int = 20_000,
-    raise_on_failure: bool = True,
 ) -> tuple[float, float, int]:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol``.
 
@@ -97,8 +96,8 @@ def integrate_adaptive(
     conservative proxy.  Panels narrower than ~1e-14 of the domain are
     frozen rather than split further; if the estimate still exceeds
     ``tol`` once ``max_panels`` is reached, a :class:`NumericalFailure`
-    carrying the best estimate is raised (or the estimate is returned
-    when ``raise_on_failure`` is false).
+    carrying the best estimate, its error estimate and the work done is
+    raised.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
@@ -138,7 +137,7 @@ def integrate_adaptive(
     # Exact panel-sum in spatial order keeps rounding noise at a few ulps.
     ordered = sorted([(h[1], h[3]) for h in heap] + [(p[0], p[1]) for p in frozen])
     value = math.fsum(v for _, v in ordered)
-    if err > tol and raise_on_failure:
+    if err > tol:
         raise NumericalFailure(
             f"adaptive quadrature did not reach tol={tol:g} (error ~{err:.3g})",
             best_estimate=value, error_estimate=err, work=n_eval,

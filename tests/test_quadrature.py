@@ -8,6 +8,15 @@ from circmeans.core import NumericalFailure
 from circmeans.quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
 
+def adaptive_or_best(f, a, b, tol, **kwargs):
+    """integrate_adaptive's (value, error, evals), taken from the
+    NumericalFailure when the kernel misses ``tol``."""
+    try:
+        return integrate_adaptive(f, a, b, tol, **kwargs)
+    except NumericalFailure as exc:
+        return exc.best_estimate, exc.error_estimate, exc.work
+
+
 def test_smooth_polynomial_is_near_exact():
     value, err, n = integrate_adaptive(lambda x: x**3 - 2 * x + 1, 0.0, 2.0, 1e-12)
     assert value == pytest.approx(4.0 - 4.0 + 2.0, abs=1e-13)
@@ -25,8 +34,7 @@ def test_oscillatory_against_quadpack():
 @pytest.mark.parametrize("p", [0.5, 0.9])
 def test_endpoint_power_singularity(p):
     # int_0^1 x^(p-1) dx = 1/p, steep but integrable at 0.
-    value, err, _ = integrate_adaptive(lambda x: x ** (p - 1.0), 0.0, 1.0, 1e-9,
-                                       raise_on_failure=False)
+    value, err, _ = adaptive_or_best(lambda x: x ** (p - 1.0), 0.0, 1.0, 1e-9)
     assert value == pytest.approx(1.0 / p, abs=5e-7)
 
 
@@ -35,15 +43,13 @@ def test_error_estimate_honest_on_bounded_steep_integrand():
     # the reported estimate must dominate the actual error.
     for p in (0.1, 0.35, 0.8):
         exact = 1.0 / (p + 1.0)
-        value, err, _ = integrate_adaptive(lambda x, p=p: x**p, 0.0, 1.0, 1e-10,
-                                           raise_on_failure=False)
+        value, err, _ = adaptive_or_best(lambda x, p=p: x**p, 0.0, 1.0, 1e-10)
         assert abs(value - exact) <= max(err, 1e-14)
 
 
 def test_log_singularity():
     # int_0^1 ln(x) dx = -1.
-    value, _, _ = integrate_adaptive(lambda x: np.log(x), 0.0, 1.0, 1e-10,
-                                     raise_on_failure=False)
+    value, _, _ = adaptive_or_best(lambda x: np.log(x), 0.0, 1.0, 1e-10)
     assert value == pytest.approx(-1.0, abs=1e-9)
 
 
@@ -55,8 +61,7 @@ def test_breakpoints_are_never_sampled():
             raise AssertionError("sampled the excluded point")
         return np.abs(x - bad) ** -0.5
 
-    value, _, _ = integrate_adaptive(f, 0.0, 1.0, 1e-6, breakpoints=(bad,),
-                                     raise_on_failure=False)
+    value, _, _ = adaptive_or_best(f, 0.0, 1.0, 1e-6, breakpoints=(bad,))
     exact = 2.0 * (math.sqrt(bad) + math.sqrt(1.0 - bad))
     assert value == pytest.approx(exact, abs=1e-4)
 
