@@ -159,7 +159,8 @@ def integrate_tanhsinh_singular(
     must be vectorized.  ``strength`` > 0 controls how far into the
     double-exponential tail the rule reaches before transformed terms
     drop below ~1e-16 relative.  Returns (value, error_estimate,
-    evaluations).
+    evaluations); an error estimate above ``tol`` raises
+    :class:`~circmeans.core.NumericalFailure` with the best estimate.
     """
     if width <= 0.0:
         return 0.0, 0.0, 0
@@ -198,10 +199,12 @@ def integrate_tanhsinh_singular(
         new_total = 0.5 * total + add
         change = abs(new_total - total)
         if level >= 3 and change <= tol and abs(total - prev) <= 16.0 * tol:
-            return new_total, max(change, 1e-16 * abs(new_total)), n_eval
+            total, err = new_total, max(change, 1e-16 * abs(new_total))
+            break
         prev = total
         total = new_total
-    err = abs(total - prev)
+    else:
+        err = abs(total - prev)
     if err > tol:
         raise NumericalFailure(
             f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",

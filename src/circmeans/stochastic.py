@@ -28,9 +28,9 @@ mechanisms:
   does not dominate the tail; the estimate reports its ``discarded``
   paths and its ``path_steps``.  From n = 10000 on, the paths run in
   n // 5000 chunks (at most 16), chunk i from stream i of the seed, and
-  the chunks run across a pool of forked worker processes, one per usable
-  CPU; the estimate depends on the seed and n alone, never on the number
-  of workers.  Discrete monitoring exits late, so the
+  the chunks run across worker processes forked for the call, one per
+  usable CPU; the estimate depends on the seed and n alone, never on the
+  number of workers.  Discrete monitoring exits late, so the
   estimate carries an O(sqrt(dt)) upward bias;
   :func:`occupation_bias_allowance` quantifies the calibrated allowance
   that statistical gates should add.
@@ -44,10 +44,10 @@ patched with a biasing truncation.
 """
 from __future__ import annotations
 
-import atexit
 import ctypes
 import math
 import os
+import pickle
 import signal
 import threading
 from dataclasses import dataclass
@@ -294,18 +294,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The chunk pool as (creator's pid, workers, executor), created by the
-# first call that can use two workers.  Workers are forked: a spawn or
-# forkserver worker imports the caller's __main__ again, which breaks a
-# script that calls occupation_time_mc at module level.
-_pool = None
-
 _PR_SET_PDEATHSIG = 1       # from <linux/prctl.h>
 
 
 def _end_with_parent(parent: int) -> None:
-    """Chunk pool initializer: on Linux, the worker is killed when its parent
-    dies, so a caller killed by a signal leaves no idle workers behind."""
+    """In a chunk worker: on Linux, the worker is killed when its parent
+    dies, so a caller killed by a signal leaves no worker running."""
     try:
         ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     except (OSError, AttributeError):   # no prctl on this platform
@@ -314,61 +308,68 @@ def _end_with_parent(parent: int) -> None:
         os._exit(1)
 
 
-def _chunk_pool(workers: int):
-    """The chunk pool with at least ``workers`` workers, this process's own."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    global _pool
-    pid = os.getpid()
-    if _pool is not None and _pool[0] == pid:
-        if _pool[1] >= workers:
-            return _pool[2]
-        _pool[2].shutdown()
-    # A pool inherited by a forked child belongs to its parent: replace it.
-    executor = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_end_with_parent, initargs=(pid,))
-    _pool = (pid, workers, executor)
-    return executor
-
-
-@atexit.register
-def _shutdown_pool() -> None:
-    # Shut down while the interpreter is whole: an executor collected
-    # during interpreter teardown reports an ignored AttributeError.
-    global _pool
-    if _pool is not None and _pool[0] == os.getpid():
-        _pool[2].shutdown()
-    _pool = None
+def _work_and_exit(parent: int, args: list[tuple], fd: int, read_ends: list[int]) -> None:
+    """In a forked worker: pickles the chunks' results, or their exception,
+    to ``fd`` and ends by ``os._exit``, never flushing the caller's stdio.
+    Closes ``read_ends`` first, so a write that no reader can see fails."""
+    code = 1
+    try:
+        _end_with_parent(parent)
+        for r in read_ends:
+            os.close(r)
+        try:
+            out = [_occupation_chunk(*a) for a in args]
+        except Exception as exc:
+            out = exc
+        with open(fd, "wb") as fh:
+            pickle.dump(out, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _run_chunks(args: list[tuple]) -> list[tuple[np.ndarray, int, int]]:
-    """``_occupation_chunk(*a)`` for each a, in order, across the chunk pool.
+    """``_occupation_chunk(*a)`` for each a, in order, over w forked workers.
 
-    In-process when one worker would do; off the main thread, so that one
-    thread alone creates and uses the pool, and that no worker dies with
-    the thread that forked it; in a multiprocessing child, since a
-    daemonic one may not start children and any other joins its children
-    before their pool shuts down, so it would never exit; and where fork
-    is not available.
+    With w = min(len(args), usable CPUs), w - 1 children are forked and
+    child j runs ``args[j::w]`` while the caller runs ``args[0::w]``.
+    Every child is reaped before this returns or raises.  In-process when
+    w < 2, where fork is not available, and off the main thread: forking
+    a process whose other threads may hold a lock can deadlock the child.
     """
-    global _pool
-    workers = min(len(args), _usable_cpus())
-    if workers < 2 or threading.current_thread() is not threading.main_thread():
+    w = min(len(args), _usable_cpus())
+    if w < 2 or not hasattr(os, "fork") or threading.current_thread() is not threading.main_thread():
         return [_occupation_chunk(*a) for a in args]
-    # Imported here and in _chunk_pool: multiprocessing and the executor
-    # take about 2.5 MB and 10 ms to import, which runs that never reach
-    # the pool should not pay.
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool
-
-    if multiprocessing.parent_process() is not None or "fork" not in multiprocessing.get_all_start_methods():
-        return [_occupation_chunk(*a) for a in args]
+    parent = os.getpid()
+    children = []               # [pid, read end of its pipe], pid None once reaped
     try:
-        return list(_chunk_pool(workers).map(_occupation_chunk, *zip(*args)))
-    except BrokenProcessPool:
-        _pool = None            # a worker died; the next call starts afresh
-        raise
+        for j in range(1, w):
+            read_end, write_end = os.pipe()
+            children.append([None, read_end])
+            try:
+                children[-1][0] = pid = os.fork()
+                if pid == 0:
+                    _work_and_exit(parent, args[j::w], write_end, [r for _, r in children])
+            finally:
+                os.close(write_end)     # else later children hold it and EOF never comes
+        shares = [[_occupation_chunk(*a) for a in args[0::w]]]
+        for child in children:
+            with open(child[1], "rb", closefd=False) as fh:
+                data = fh.read()
+            pid, child[0] = child[0], None
+            if status := os.waitpid(pid, 0)[1]:
+                raise RuntimeError(f"chunk worker {pid} ended without a result (wait status {status})")
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out
+            shares.append(out)
+    finally:
+        for pid, read_end in children:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            os.close(read_end)
+    return [shares[i % w][i // w] for i in range(len(args))]
 
 
 def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEstimate:
@@ -377,12 +378,12 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     The n paths are split into c = n // 5000 chunks, at least 1 and at
     most 16, the first n % c of them one path larger; chunk i draws from
     ``rng_from_seed(cfg.seed, i)``, so chunk 0 of a run with n < 10000 is
-    the whole run.  The chunks run across a pool of forked workers, one
-    per usable CPU (the process's CPU affinity) up to c, and in-process
-    when one worker would do, off the main thread, in a multiprocessing
-    child or without fork.  Their sums are joined in chunk order before
-    the discard rule, the mean and the stderr apply to all n paths, so the
-    estimate depends on (cfg, n) alone, never on the worker count.
+    the whole run.  The chunks run on w = min(c, usable CPUs) processes
+    (the process's CPU affinity): the caller and w - 1 workers forked for
+    this call and reaped before it returns.  They run in-process when
+    w < 2, off the main thread or without fork.  Their sums are joined in
+    chunk order before the discard rule, the mean and the stderr apply to
+    all n paths, so the estimate depends on (cfg, n) alone, never on w.
 
     Each path starts at the origin, advances by N(0, dt) increments per
     coordinate, and stops at its first sample outside the unit disk; the

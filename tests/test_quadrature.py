@@ -111,5 +111,17 @@ class TestTanhSinh:
         assert value == pytest.approx(1.0 / p, rel=1e-11)
         assert seen["min"] < 1e-30
 
+    def test_error_above_tol_raises(self):
+        # A converged level reports max(change, 1e-16 |value|); a tol below
+        # that floor must raise, not return an error above tol.
+        def q(s):
+            return (2.0 * np.sin(0.5 * s)) ** 0.1 / math.pi
+
+        with pytest.raises(NumericalFailure) as info:
+            integrate_tanhsinh_singular(q, math.pi, 1.1, 1e-30)
+        # (1/pi) int_0^pi |1 + e^{i th}|^0.1 dth = Gamma(1.1) / Gamma(1.05)^2
+        assert info.value.best_estimate == pytest.approx(math.gamma(1.1) / math.gamma(1.05) ** 2, rel=1e-13)
+        assert info.value.error_estimate > 1e-30
+
     def test_zero_width(self):
         assert integrate_tanhsinh_singular(lambda s: s, 0.0, 1.0, 1e-12) == (0.0, 0.0, 0)

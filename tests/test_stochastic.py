@@ -7,8 +7,9 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -264,30 +265,50 @@ def _send_chunked_estimate(queue):
     queue.put(_chunked_estimate())
 
 
+def _src_env():
+    """The environment for a fresh interpreter that imports this checkout's src/."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 class TestChunkPool:
-    """From n = 10000 on, occupation_time_mc runs its chunks across a pool of
-    forked workers; the estimate must not depend on where they ran.  Tests
-    that need the pool report two usable CPUs, whatever the host has."""
+    """From n = 10000 on, occupation_time_mc runs its chunks on the caller and
+    on workers forked for the call; the estimate must not depend on where
+    they ran, and nothing may outlive the call.  Tests that need the workers
+    report two usable CPUs, whatever the host has."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 2)
 
-    def test_pool_equals_in_process(self, monkeypatch, two_cpus):
-        pooled = _chunked_estimate()
-        assert stochastic._pool is not None and stochastic._pool[0] == os.getpid()
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The caller's pid of each os.fork call, in call order."""
+        calls, fork = [], os.fork
+
+        def counted_fork():
+            calls.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return calls
+
+    def test_pool_equals_in_process(self, monkeypatch, two_cpus, forks):
+        forked = _chunked_estimate()
+        assert len(forks) == 1
         monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(stochastic, "_chunk_pool", None)    # any use would raise
-        assert _chunked_estimate() == pooled
+        assert _chunked_estimate() == forked
+        assert len(forks) == 1
 
     def test_daemonic_worker_runs_in_process(self, two_cpus):
-        # A multiprocessing.Pool worker is daemonic and may not start children.
+        # A multiprocessing.Pool worker is daemonic: multiprocessing lets it
+        # start no children, but it forks workers of its own.
         with multiprocessing.get_context("fork").Pool(1) as pool:
             assert pool.apply_async(_chunked_estimate).get(timeout=120) == _chunked_estimate()
 
     def test_multiprocessing_child_runs_in_process(self, two_cpus):
-        # A non-daemonic child joins its children before their pool shuts
-        # down, so a pool of its own would keep it from exiting.
+        # A non-daemonic child joins its children before it exits, so none
+        # of its workers may outlive the call.
         expected = _chunked_estimate()
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
@@ -302,35 +323,36 @@ class TestChunkPool:
                 child.kill()
                 child.join()
 
-    def test_forked_child_starts_its_own_pool(self, two_cpus):
-        # The parent's pool, inherited by an os.fork() child, has no
-        # manager thread there, so the child must start a pool of its own.
+    def test_forked_child_starts_its_own_pool(self, two_cpus, forks):
+        # An os.fork() child forks workers of its own.
         expected = _chunked_estimate()
         read_end, write_end = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
                 est = _chunked_estimate()
-                own = stochastic._pool is not None and stochastic._pool[0] == os.getpid()
-                stochastic._shutdown_pool()
-                os.write(write_end, pickle.dumps((est, own)))
+                os.write(write_end, pickle.dumps((est, forks.count(os.getpid()))))
             finally:
                 os._exit(0)
         os.close(write_end)
         try:
             with os.fdopen(read_end, "rb") as fh:
                 assert select.select([fh], [], [], 120)[0], "the forked child hung"
-                est, own = pickle.loads(fh.read())
+                est, child_forks = pickle.loads(fh.read())
         finally:
             if os.waitpid(pid, os.WNOHANG) == (0, 0):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
         assert est == expected
-        assert own
+        assert child_forks == 1
 
     def test_off_main_thread_runs_in_process(self, monkeypatch, two_cpus):
         expected = _chunked_estimate()
-        monkeypatch.setattr(stochastic, "_chunk_pool", None)
+
+        def no_fork():
+            raise AssertionError("forked off the main thread")
+
+        monkeypatch.setattr(os, "fork", no_fork)
         with ThreadPoolExecutor(1) as pool:
             assert pool.submit(_chunked_estimate).result(timeout=120) == expected
 
@@ -340,21 +362,88 @@ class TestChunkPool:
             from circmeans.stochastic import PathConfig, occupation_time_mc
             print(repr(occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=91), 10_000)))
             """))
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
-                              env=env, timeout=120)
+                              env=_src_env(), timeout=120)
         assert done.returncode == 0
         assert done.stderr == ""
         assert done.stdout.strip() == repr(_chunked_estimate())
 
-    def test_broken_pool_replaced_on_next_call(self, two_cpus):
+    def test_broken_pool_replaced_on_next_call(self, monkeypatch, two_cpus):
+        # A worker that dies without reporting fails the call, and the
+        # next call starts afresh.
         expected = _chunked_estimate()
-        with pytest.raises(BrokenProcessPool):      # a worker dies abruptly
-            stochastic._chunk_pool(2).submit(os._exit, 1).result(timeout=120)
-        with pytest.raises(BrokenProcessPool):
+        caller, chunk = os.getpid(), stochastic._occupation_chunk
+
+        def dies_in_worker(*args):
+            if os.getpid() != caller:
+                os._exit(1)
+            return chunk(*args)
+
+        monkeypatch.setattr(stochastic, "_occupation_chunk", dies_in_worker)
+        with pytest.raises(RuntimeError, match="ended without a result"):
             _chunked_estimate()
+        monkeypatch.setattr(stochastic, "_occupation_chunk", chunk)
         assert _chunked_estimate() == expected
+
+    def test_worker_exception_reaches_caller(self, monkeypatch, two_cpus):
+        caller, chunk = os.getpid(), stochastic._occupation_chunk
+
+        def fails_in_worker(*args):
+            if os.getpid() != caller:
+                raise MemoryError("chunk in a worker")
+            return chunk(*args)
+
+        monkeypatch.setattr(stochastic, "_occupation_chunk", fails_in_worker)
+        with pytest.raises(MemoryError, match="chunk in a worker"):
+            _chunked_estimate()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_nothing_outlives_a_call(self, two_cpus, forks):
+        threads = threading.active_count()
+        fds = os.listdir("/proc/self/fd") if sys.platform == "linux" else []
+        _chunked_estimate()
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):      # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads
+        if sys.platform == "linux":
+            assert len(os.listdir("/proc/self/fd")) == len(fds)
+        code = textwrap.dedent("""\
+            import sys
+            from circmeans import stochastic
+            stochastic._usable_cpus = lambda: 2
+            stochastic.occupation_time_mc(0.5, 1.5, stochastic.PathConfig(dt=1e-3, seed=91), 10_000)
+            print(sorted({"multiprocessing", "concurrent.futures"} & set(sys.modules)))
+            """)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_src_env(), timeout=120)
+        assert done.returncode == 0
+        assert done.stdout == "[]\n"
+
+    @pytest.mark.skipif(sys.platform != "linux" or stochastic._usable_cpus() < 2,
+                        reason="needs Linux's parent-death signal and two usable CPUs")
+    def test_killed_caller_leaves_no_worker(self):
+        # A worker holds the caller's stdout; if it outlived a killed caller
+        # it would keep a reader such as `| tail` waiting for its whole share.
+        code = textwrap.dedent("""\
+            from circmeans.stochastic import PathConfig, occupation_time_mc
+            print("started", flush=True)
+            occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=91), 1_000_000)
+            """)
+        proc = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, env=_src_env())
+        try:
+            assert proc.stdout.readline() == b"started\n"
+            time.sleep(1.0)
+            proc.kill()
+            proc.wait(timeout=10)
+            assert select.select([proc.stdout], [], [], 3.0)[0], "a worker outlived its caller"
+            assert proc.stdout.read() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
     def test_discards_counted_over_all_chunks(self):
         cfg = PathConfig(dt=1e-3, max_steps=5, seed=1)
