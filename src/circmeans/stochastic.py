@@ -329,7 +329,7 @@ def _work_and_exit(parent: int, args: list[tuple], fd: int, read_ends: list[int]
 
 
 def _run_chunks(args: list[tuple]) -> list[tuple[np.ndarray, int, int]]:
-    """``_occupation_chunk(*a)`` for each a, in order, over w forked workers.
+    """``_occupation_chunk(*a)`` for each a, in order, on w processes.
 
     With w = min(len(args), usable CPUs), w - 1 children are forked and
     child j runs ``args[j::w]`` while the caller runs ``args[0::w]``.
