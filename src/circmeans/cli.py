@@ -39,6 +39,8 @@ from .core import (
     DETERMINISTIC_BACKENDS,
     NumericalFailure,
     check_alpha,
+    check_radius,
+    check_tol,
     classify_regime,
     rng_from_seed,
 )
@@ -72,18 +74,14 @@ class SweepConfig:
         if not self.alphas:
             raise ValueError("at least one alpha is required")
         for a in self.alphas:
-            if not (math.isfinite(a) and a > 0.0):
-                raise ValueError(f"alpha values must be positive, got {a!r}")
-        if not (math.isfinite(self.y_min) and math.isfinite(self.y_max)):
-            raise ValueError("y bounds must be finite")
-        if not 0.0 <= self.y_min < self.y_max:
+            check_alpha(a)
+        if not check_radius(self.y_min) < check_radius(self.y_max):
             raise ValueError("need 0 <= y_min < y_max")
         if self.spacing == "log" and self.y_min <= 0.0:
             raise ValueError("log spacing requires y_min > 0")
         if self.points < 2:
             raise ValueError("points must be >= 2")
-        if not (math.isfinite(self.tol) and self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
+        check_tol(self.tol)
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"spacing must be linear or log, got {self.spacing!r}")
         unknown = set(self.backends) - BACKENDS
@@ -149,6 +147,9 @@ def run_sweep(cfg: SweepConfig, out_path: str, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     cfg.validate()
+    # Reject what the bound chain cannot take before --out is opened.
+    for alpha in cfg.alphas:
+        check_alpha(alpha, upper=2.0)
     for b in cfg.backends:
         if b not in DETERMINISTIC_BACKENDS:
             raise ValueError(f"sweep accepts deterministic backends only, got {b!r}")
@@ -210,7 +211,9 @@ def emit_figure_data(alphas, ys, out_dir: str, stdout=None) -> list[str]:
     import os
 
     stdout = stdout if stdout is not None else sys.stdout
-
+    # Reject what the bound chain cannot take before out_dir is created.
+    for alpha in alphas:
+        check_alpha(alpha, upper=2.0)
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for alpha in alphas:
@@ -369,11 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p, y_min=0.01, y_max=4.0, points=50, log=False):
+    def add_grid_flags(p, y_min=0.01, y_max=4.0, points=50):
         p.add_argument("--y-min", type=float, default=y_min)
         p.add_argument("--y-max", type=float, default=y_max)
         p.add_argument("--points", type=int, default=points)
-        p.add_argument("--log", action="store_true", default=log, help="log-spaced y grid")
 
     p_mean = sub.add_parser("mean", help="evaluate one point with selected backends")
     p_mean.add_argument("--alpha", type=_alpha_list, required=True)
@@ -400,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constants", help="best-constant table")
     p_const.add_argument("--alpha", type=_alpha_list, required=True)
-    add_grid_flags(p_const, y_min=1e-4, y_max=50.0, points=80, log=True)
+    add_grid_flags(p_const, y_min=1e-4, y_max=50.0, points=80)
     p_const.add_argument("--out", default=None, help="optional CSV output path")
 
     p_sharp = sub.add_parser("sharpness", help="witnesses for candidates above alpha/2")
@@ -416,6 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--dt", type=float, default=1e-3)
     p_mc.add_argument("--out", required=True)
+
+    # constants always takes a log grid, accumulating at y = 0.
+    for p in (p_sweep, p_fig, p_mc):
+        p.add_argument("--log", action="store_true", help="log-spaced y grid")
 
     return parser
 
@@ -441,7 +447,7 @@ def main(argv=None) -> int:
             return _EXIT_OK
         if args.command == "constants":
             cfg = SweepConfig(alphas=args.alpha, y_min=args.y_min, y_max=args.y_max,
-                              points=args.points, spacing="log" if args.log else "linear")
+                              points=args.points, spacing="log")
             cfg.validate()
             constant_table(args.alpha, cfg.grid(), args.out)
             return _EXIT_OK

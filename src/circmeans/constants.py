@@ -32,6 +32,10 @@ from .core import NumericalFailure, check_alpha, check_radius, check_tol
 # Quadrature tolerance used by the profile: near machine precision, since
 # lambda(y) divides a quantity of size ~y^2 by y^2.
 _PROFILE_TOL = 1e-13
+# Witness search: least accepted excess lam - alpha/2, and the last k
+# of the radii y = 2^-k it tries (see sharpness_witness).
+_WITNESS_MARGIN = 1e-4
+_WITNESS_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -51,7 +55,6 @@ class SharpnessReport:
     lambda_inf: float
     argmin_y: float
     second_derivative: float
-    witness: Witness | None = None
 
 
 def lambda_profile(alpha: float, y: float, tol: float = _PROFILE_TOL) -> float:
@@ -123,30 +126,22 @@ def best_constant_estimate(alpha: float, y_grid: np.ndarray) -> SharpnessReport:
     )
 
 
-def sharpness_witness(
-    alpha: float,
-    lam: float,
-    *,
-    margin: float = 1e-4,
-    max_halvings: int = 30,
-) -> Witness:
+def sharpness_witness(alpha: float, lam: float) -> Witness:
     """Find y with (1 + lam*y^2)^(alpha/2) > mean(y, alpha).
 
-    Requires lam > alpha/2 + margin (margin >= 1e-4): the violation near
-    0 scales like (alpha/2)*(lam - alpha/2)*y^2, so candidates closer to
-    the threshold drown in working precision.  Searches y = 2^{-k},
-    k = 0..max_halvings, and returns the first violation that clears the
-    numerical noise floor; exhaustion raises NumericalFailure.
+    Requires lam > alpha/2 + 1e-4: the violation near 0 scales like
+    (alpha/2)*(lam - alpha/2)*y^2, so candidates closer to the threshold
+    drown in working precision.  Searches y = 2^{-k}, k = 0..30, and
+    returns the first violation that clears the numerical noise floor;
+    exhaustion raises NumericalFailure.
     """
     alpha = check_alpha(alpha, upper=2.0)
     lam = float(lam)
-    if margin < 1e-4:
-        raise ValueError("margin must be at least 1e-4")
-    if not lam > 0.5 * alpha + margin:
+    if not lam > 0.5 * alpha + _WITNESS_MARGIN:
         raise ValueError(
-            f"candidate lambda={lam} is not above alpha/2 + margin = {0.5 * alpha + margin}"
+            f"candidate lambda={lam} is not above alpha/2 + margin = {0.5 * alpha + _WITNESS_MARGIN}"
         )
-    for k in range(max_halvings + 1):
+    for k in range(_WITNESS_MAX_HALVINGS + 1):
         y = 2.0**-k
         result = mean_quadrature(y, alpha, _PROFILE_TOL)
         rhs = math.expm1(0.5 * alpha * math.log1p(lam * y * y))  # b(y) - 1
@@ -155,7 +150,7 @@ def sharpness_witness(
         if violation > noise:
             return Witness(lam=lam, y=y, violation=violation)
     raise NumericalFailure(
-        f"no violation found down to y = 2^-{max_halvings} for alpha={alpha}, lambda={lam}; "
+        f"no violation found down to y = 2^-{_WITNESS_MAX_HALVINGS} for alpha={alpha}, lambda={lam}; "
         "the candidate is too close to alpha/2 for working precision",
         best_estimate=math.nan,
     )

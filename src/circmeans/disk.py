@@ -14,11 +14,12 @@ Numerical structure of the radial integrand:
 * m(t) is analytic for t != 1 and blows up like |1 - t|^(alpha - 1) as
   t -> 1 (non-integrably on the circle itself when alpha <= 1, which is
   why the radial rule must never sample y r = 1 exactly).
-* For y > 1 the blow-up sits at the interior point r = 1/y.  The two
-  flanking subintervals are handled by a tanh-sinh rule parameterized by
-  the exact distance s = |r - 1/y|, and m near t = 1 is evaluated from
-  the hypergeometric connection expansion in u = |1 - t| directly, so no
-  accuracy is lost to forming 1 - t.
+* For y >= 1 the blow-up sits at the point r = 1/y, interior for
+  y > 1 and the outer endpoint at y = 1.  The flanking subintervals are
+  handled by a tanh-sinh rule parameterized by the exact distance
+  s = |r - 1/y| (at y = 1 only the left flank is non-empty), and m near
+  t = 1 is evaluated from the hypergeometric connection expansion in
+  u = |1 - t| directly, so no accuracy is lost to forming 1 - t.
 
 :func:`radial_integral_lower` evaluates the closed form of the same
 radial integral with m replaced by its pointwise lower bound
@@ -30,7 +31,6 @@ exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import gamma
 
 import numpy as np
@@ -38,12 +38,10 @@ import numpy as np
 from .circle import _hyp2f1_series, binomial_series_mean
 from .core import (
     BACKEND_AREA_INTEGRAL,
-    BranchRegime,
     MeanResult,
     check_alpha,
     check_radius,
     check_tol,
-    classify_regime,
 )
 from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
@@ -53,18 +51,6 @@ _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
 # |alpha - 1| below this uses the alpha = 1 closed form.
 _DEGENERATE_BAND = 1e-6
-
-
-@dataclass(frozen=True)
-class RadialIntegralValue:
-    """Closed-form value of the floor-integrand radial integral.
-
-    ``value`` lies in (0, 1/4] for every y > 0, alpha in (0, 2]: the
-    integrand is dominated by r ln(1/r) whose integral is exactly 1/4.
-    """
-
-    value: float
-    regime: BranchRegime
 
 
 def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -184,9 +170,11 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     Independent of :func:`~circmeans.circle.mean_quadrature` (different
     domain, different integrand, different special-function machinery),
     which is what makes the cross-agreement of the two a meaningful
-    check.  The radial rule splits at r = 1/y, so the divergent inner
-    radius is never sampled; the flanking pieces use a tanh-sinh rule in
-    the exact distance from 1/y.
+    check.  For y >= 1 the radial rule splits at r = 1/y, so the
+    divergent inner radius is never sampled; the flanking pieces use a
+    tanh-sinh rule in the exact distance from 1/y.  At y = 1 that point
+    is the outer endpoint, so the right flank and the piece beyond it
+    are empty and the split runs GK15 on [0, 7/8] and the left flank.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
@@ -221,16 +209,8 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     if y < 1.0:
         # t = y r stays below 1; integrand analytic on (0, 1].
         add_adaptive(0.0, 1.0, rtol)
-    elif y == 1.0:
-        # Blow-up at the outer endpoint r = 1.
-        cut = 0.75
-        add_adaptive(0.0, cut, 0.5 * rtol)
-
-        def q_end(s: np.ndarray) -> np.ndarray:
-            return inner_mean_near_one(y * s, alpha) * _radial_weight(1.0 - s)
-
-        add_singular(q_end, 1.0 - cut, 0.5 * rtol)
     else:
+        # Split at r* = 1/y; at y = 1, dr = 0 leaves both right pieces empty.
         dl = min(0.5 * r_star, 0.125)
         dr = min(1.0 - r_star, 0.125)
         share = rtol / 4.0
@@ -255,7 +235,7 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     return MeanResult(value, prefactor * radial_err, BACKEND_AREA_INTEGRAL, work[0])
 
 
-def radial_integral_lower(y: float, alpha: float) -> RadialIntegralValue:
+def radial_integral_lower(y: float, alpha: float) -> float:
     """Closed form of int_0^1 min{1, (y r)^(alpha-2)} r ln(1/r) dr.
 
     Exactly 1/4 for y <= 1 (the min is identically 1 there, and
@@ -265,21 +245,20 @@ def radial_integral_lower(y: float, alpha: float) -> RadialIntegralValue:
         (1 + 2 ln y) / (4 y^2)
           + y^(alpha-2) * (1/alpha^2 - (1 + alpha ln y)/(alpha^2 y^alpha)),
 
-    continuous in y across 1 and bounded by 1/4 everywhere.
+    continuous in y across 1 and in (0, 1/4] everywhere: the integrand
+    is dominated by r ln(1/r), whose integral is exactly 1/4.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
     if y == 0.0:
         raise ValueError("radial integral requires y > 0")
-    regime = classify_regime(y, alpha)
     if y <= 1.0:
-        return RadialIntegralValue(0.25, regime)
+        return 0.25
     ln_y = math.log(y)
     a2 = alpha * alpha
-    value = (1.0 + 2.0 * ln_y) / (4.0 * y * y) + y ** (alpha - 2.0) * (
+    return (1.0 + 2.0 * ln_y) / (4.0 * y * y) + y ** (alpha - 2.0) * (
         1.0 / a2 - (1.0 + alpha * ln_y) / (a2 * y**alpha)
     )
-    return RadialIntegralValue(value, regime)
 
 
 def lower_bound_from_area(y: float, alpha: float) -> float:
@@ -298,4 +277,4 @@ def lower_bound_from_area(y: float, alpha: float) -> float:
     alpha = check_alpha(alpha, upper=2.0)
     if y == 0.0:
         return 1.0
-    return 1.0 + alpha * alpha * y * y * radial_integral_lower(y, alpha).value
+    return 1.0 + alpha * alpha * y * y * radial_integral_lower(y, alpha)

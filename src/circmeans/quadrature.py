@@ -63,6 +63,9 @@ _WK = np.concatenate([_WGK[:-1], _WGK[::-1]])                 # Kronrod weights
 _WGFULL = np.zeros(15)
 _WGFULL[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights sit on odd slots
 
+# Halvings of the tanh-sinh step after the first h = 1/2 level.
+_TANHSINH_MAX_LEVEL = 12
+
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
     """Kronrod estimate and |Kronrod - Gauss| error proxy on one panel."""
@@ -150,16 +153,15 @@ def integrate_tanhsinh_singular(
     width: float,
     strength: float,
     tol: float,
-    *,
-    max_level: int = 12,
 ) -> tuple[float, float, int]:
     """Integrate ``q`` over (0, width] with an s^(strength-1) endpoint.
 
     ``q`` receives exact distances ``s`` from the singular endpoint and
     must be vectorized.  ``strength`` > 0 controls how far into the
     double-exponential tail the rule reaches before transformed terms
-    drop below ~1e-16 relative.  Returns (value, error_estimate,
-    evaluations); an error estimate above ``tol`` raises
+    drop below ~1e-16 relative.  The step is halved at most 12 times
+    from h = 1/2.  Returns (value, error_estimate, evaluations); an
+    error estimate above ``tol`` raises
     :class:`~circmeans.core.NumericalFailure` with the best estimate.
     """
     if width <= 0.0:
@@ -192,7 +194,7 @@ def integrate_tanhsinh_singular(
     total, n_eval = level_sum(0.5, only_odd=False)
     h = 0.5
     prev = math.inf
-    for level in range(1, max_level + 1):
+    for level in range(1, _TANHSINH_MAX_LEVEL + 1):
         h *= 0.5
         add, ne = level_sum(h, only_odd=True)
         n_eval += ne

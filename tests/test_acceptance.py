@@ -190,7 +190,7 @@ def test_criterion_05_radial_integrals():
     for _ in range(1_000):
         y = float(rng.uniform(0.02, 6.0))
         alpha = float(rng.uniform(0.05, 2.0))
-        mine = radial_integral_lower(y, alpha).value
+        mine = radial_integral_lower(y, alpha)
         if y <= 1.0:
             assert mine == 0.25
             continue

@@ -238,6 +238,14 @@ class TestMcCommand:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "figure"])
+    def test_sweep_and_figure_bad_alpha_write_nothing(self, tmp_path, capsys, command):
+        # sweep and figure reject an alpha above 2 before --out, as mc does.
+        out = tmp_path / "out"
+        assert main([command, "--alpha", "0.5,3", "--points", "3", "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tol_flag_rejected(self, tmp_path, capsys):
         # The MC gates are set in sigmas and the bias allowance, not by a tolerance.
         with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,6 @@ from scipy.special import hyp2f1
 
 from circmeans.bounds import mid_bound
 from circmeans.circle import mean_quadrature
-from circmeans.core import BranchRegime
 from circmeans.disk import (
     area_integral_mean,
     inner_mean,
@@ -125,6 +124,14 @@ class TestAreaIntegralMean:
             a = area_integral_mean(y, alpha, 1e-8)
             q = mean_quadrature(y, alpha, 1e-12)
             assert abs(a.value - q.value) <= a.error_estimate + 1e-11
+        # On the circle, Gauss's sum gives the mean exactly:
+        # Gamma(1 + alpha) / Gamma(1 + alpha/2)^2.
+        for alpha in (0.25, 0.5, 1.5, 1.9):
+            a = area_integral_mean(1.0, alpha, 1e-8)
+            ref = mp.gamma(1 + mp.mpf(alpha)) / mp.gamma(1 + mp.mpf(alpha) / 2) ** 2
+            assert abs(a.value - float(ref)) <= a.error_estimate <= 1e-8, alpha
+            b = area_integral_mean(1.0 + 1e-12, alpha, 1e-8)
+            assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, alpha
 
     def test_rejects_alpha_above_two(self):
         with pytest.raises(ValueError):
@@ -135,22 +142,21 @@ class TestRadialIntegralLower:
     def test_quarter_inside_disk(self):
         # For y <= 1 the min is 1 and the weight integrates to exactly 1/4.
         for y, alpha in [(0.7, 1.3), (0.2, 0.4), (1.0, 1.0)]:
-            r = radial_integral_lower(y, alpha)
-            assert r.value == 0.25
+            assert radial_integral_lower(y, alpha) == 0.25
 
     def test_frozen_closed_form_values(self):
         # 30-digit references for the two-piece closed form.
-        assert radial_integral_lower(2.0, 1.0).value == pytest.approx(
+        assert radial_integral_lower(2.0, 1.0) == pytest.approx(
             0.22585660243000683632, abs=1e-15
         )
-        assert radial_integral_lower(3.0, 0.5).value == pytest.approx(
+        assert radial_integral_lower(3.0, 0.5) == pytest.approx(
             0.17003164414148273745, abs=1e-15
         )
 
     def test_continuous_across_one(self):
         for alpha in (0.3, 1.0, 1.7, 2.0):
-            below = radial_integral_lower(1.0 - 1e-12, alpha).value
-            above = radial_integral_lower(1.0 + 1e-12, alpha).value
+            below = radial_integral_lower(1.0 - 1e-12, alpha)
+            above = radial_integral_lower(1.0 + 1e-12, alpha)
             assert below == pytest.approx(above, abs=1e-10)
             assert below == pytest.approx(0.25, abs=1e-10)
 
@@ -159,7 +165,7 @@ class TestRadialIntegralLower:
         for _ in range(300):
             y = float(rng.uniform(0.01, 6.0))
             alpha = float(rng.uniform(0.05, 2.0))
-            v = radial_integral_lower(y, alpha).value
+            v = radial_integral_lower(y, alpha)
             assert 0.0 < v <= 0.25
 
     def test_matches_brute_force_quadrature(self):
@@ -173,12 +179,8 @@ class TestRadialIntegralLower:
                 if r > 0 else 0.0,
                 0.0, 1.0, points=pts, epsabs=1e-12, epsrel=1e-12, limit=200,
             )
-            mine = radial_integral_lower(y, alpha).value
+            mine = radial_integral_lower(y, alpha)
             assert mine == pytest.approx(ref, abs=1e-9)
-
-    def test_regime_tag(self):
-        assert radial_integral_lower(0.5, 1.0).regime is BranchRegime.SMALL
-        assert radial_integral_lower(2.0, 1.0).regime is BranchRegime.LARGE
 
     def test_rejects_y_zero(self):
         with pytest.raises(ValueError):
