@@ -327,6 +327,9 @@ def run_mean(args, stdout=None) -> int:
     if len(args.alpha) != 1:
         raise ValueError("mean evaluates a single point; pass exactly one alpha")
     y, alpha = args.y, args.alpha[0]
+    # Quadrature and series take any alpha > 0, the rest alpha <= 2; check
+    # before any value is printed.
+    check_alpha(alpha, upper=None if set(backends) <= {BACKEND_QUADRATURE, BACKEND_SERIES} else 2.0)
     for b in backends:
         if b == BACKEND_QUADRATURE:
             r = mean_quadrature(y, alpha, args.tol)
@@ -334,7 +337,8 @@ def run_mean(args, stdout=None) -> int:
         elif b == BACKEND_SERIES:
             r, trunc = mean_series(y, alpha)
             print(
-                f"series          value={fmt(r.value)} tail_bound={fmt(trunc.tail_bound)} terms={trunc.terms_used}",
+                f"series          value={fmt(r.value)} tail_bound={fmt(trunc.tail_bound)} terms={trunc.terms_used}"
+                f" path={trunc.path}",
                 file=stdout,
             )
         elif b == BACKEND_AREA_INTEGRAL:

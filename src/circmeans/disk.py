@@ -31,11 +31,10 @@ exactly.
 from __future__ import annotations
 
 import math
-from math import gamma
 
 import numpy as np
 
-from .circle import _hyp2f1_series, binomial_series_mean
+from .circle import _connection_sum, binomial_series_mean
 from .core import (
     BACKEND_AREA_INTEGRAL,
     MeanResult,
@@ -56,9 +55,10 @@ _DEGENERATE_BAND = 1e-6
 def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     """Mean of |1 + t*zeta|^(alpha-2) at t = 1 - u, for 0 < u <= ~0.1.
 
-    Evaluated from the connection expansion of the Gauss hypergeometric
-    series around its logarithmic point: with a = 1 - alpha/2 and
-    v = 1 - t^2 = u(2 - u),
+    Evaluated by :func:`~circmeans.circle._connection_sum` at
+    b = alpha/2 - 1, the connection expansion of the Gauss
+    hypergeometric series around its logarithmic point: with
+    a = 1 - alpha/2 and v = 1 - t^2 = u(2 - u),
 
         m = G1 * F(a, a; 2a; v) + G2 * v^(alpha-1) * F(1-a, 1-a; 2-2a; v)
 
@@ -81,17 +81,7 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
         return np.ones_like(u)
     if abs(alpha - 1.0) <= _DEGENERATE_BAND:
         return _inverse_agm(u)
-    v = u * (2.0 - u)
-    a = 1.0 - 0.5 * alpha
-    g1 = gamma(alpha - 1.0) / gamma(0.5 * alpha) ** 2
-    g2 = gamma(1.0 - alpha) / gamma(1.0 - 0.5 * alpha) ** 2
-    # Both families have term ratios below v at every k, so the
-    # kernel's geometric tail bound holds from its first block on.
-    f1, _, _ = _hyp2f1_series(v, -a, 2.0 * a, 1e-16)
-    f2, _, _ = _hyp2f1_series(v, a - 1.0, 2.0 - 2.0 * a, 1e-16)
-    # v^(alpha-1) via exp/log: v can be ~1e-300 while the power is huge.
-    vpow = np.exp((alpha - 1.0) * np.log(v))
-    return g1 * f1 + g2 * vpow * f2
+    return _connection_sum(u * (2.0 - u), alpha, 1)[0]
 
 
 def _inverse_agm(u: np.ndarray) -> np.ndarray:
@@ -151,7 +141,7 @@ def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:
     if np.any(ring):
         out[ring] = inner_mean_near_one(dist[ring], alpha)
     if np.any(one):
-        out[one] = gamma(alpha - 1.0) / gamma(0.5 * alpha) ** 2 if alpha < 2.0 else 1.0
+        out[one] = _connection_sum(np.zeros_like(t[one]), alpha, 1)[0]
     return scale * out
 
 

@@ -185,9 +185,10 @@ def integrate_tanhsinh_singular(
         ex = np.exp(-np.abs(x))
         d = np.where(x >= 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
         w = math.pi * np.cosh(tau) * ex / (1.0 + ex) ** 2
-        good = (d > 0.0) & (w > 0.0)
-        d = d[good]
         s = width * d
+        # d > 0 is not enough: width * d can underflow to 0.
+        good = (s > 0.0) & (w > 0.0)
+        s = s[good]
         vals = np.asarray(q(s), dtype=float)
         return h * width * float(np.sum(w[good] * vals)), int(s.size)
 

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 
 import circmeans.cli as cli
 from circmeans.bounds import am_gm_sandwich, bernoulli_gap, bernoulli_log_gap
-from circmeans.circle import log_mean, mean_quadrature, mean_series
+from circmeans.circle import binomial_series_mean, log_mean, mean_quadrature, mean_series
 from circmeans.cli import SweepConfig, run_sweep
 from circmeans.constants import second_derivative_at_zero, sharpness_witness, best_constant_estimate
 from circmeans.core import rng_from_seed
@@ -80,7 +80,10 @@ def test_criterion_02_backend_cross_agreement():
 def test_criterion_03_closed_form_four_over_pi():
     target = 4.0 / math.pi
     q = mean_quadrature(1.0, 1.0, 1e-11)
+    # mean_series takes Gauss's sum Gamma(2)/Gamma(3/2)^2 at y = 1; the raw
+    # power series on t = 1 stays as a check independent of it.
     s, trunc = mean_series(1.0, 1.0)
+    raw, raw_tail, _ = binomial_series_mean(np.array([1.0]), 1.0, 1e-12)
     # independent brute force: midpoint Riemann sum, 1e7 nodes
     n = 10_000_000
     th = (np.arange(n) + 0.5) * (math.pi / n)
@@ -89,10 +92,12 @@ def test_criterion_03_closed_form_four_over_pi():
         abs(q.value - target) <= 1e-10
         and abs(s.value - target) <= 1e-6
         and abs(s.value - target) <= trunc.tail_bound + 1e-12
+        and abs(raw[0] - target) <= raw_tail + 1e-12
         and abs(brute - target) <= 1e-9
     )
     verdict(3, ok, f"quad dev {abs(q.value-target):.2e} (<=1e-10), "
                    f"series dev {abs(s.value-target):.2e} (<=1e-6, tail {trunc.tail_bound:.2e}), "
+                   f"raw t=1 series dev {abs(raw[0]-target):.2e} (tail {raw_tail:.2e}), "
                    f"riemann dev {abs(brute-target):.2e}")
 
 

@@ -15,7 +15,7 @@ from circmeans.circle import (
     mean_series,
     power_mean_integral,
 )
-from circmeans.core import BACKEND_QUADRATURE, BACKEND_SERIES, NumericalFailure
+from circmeans.core import BACKEND_QUADRATURE, BACKEND_SERIES, DEFAULT_SERIES_TOL, NumericalFailure
 
 # Reference values computed with 30-digit mpmath quadrature of
 # (1/pi) * int_0^pi (1 + 2 y cos th + y^2)^(alpha/2) dth.
@@ -133,12 +133,13 @@ class TestMeanSeries:
         assert r2.value == pytest.approx(2.0 * r_half.value, rel=1e-14)
 
     def test_honest_tail_at_convergence_boundary(self):
-        # y = 1 with small alpha converges slowly; capping the term count
-        # must produce a truthful bound, not a failure.
-        r, trunc = mean_series(1.0, 0.25, 1e-12, max_terms=20_000)
-        assert trunc.tail_bound > 1e-12
+        # On the circle t = 1 the power series converges slowly for small
+        # alpha; capping the term count must produce a truthful bound, not
+        # a failure.  (mean_series itself takes Gauss's sum at y = 1.)
+        vals, tail, terms = binomial_series_mean(np.array([1.0]), 0.25, 1e-12, max_terms=20_000)
+        assert terms == 20_001 and tail > 1e-12
         q = mean_quadrature(1.0, 0.25, 1e-11)
-        assert abs(r.value - q.value) <= trunc.tail_bound + q.error_estimate + 1e-12
+        assert abs(vals[0] - q.value) <= tail + q.error_estimate + 1e-12
 
     def test_error_bounds_are_honest_jointly(self):
         for y in (0.1, 0.7, 0.999, 1.0, 1.4, 3.0):
@@ -321,6 +322,62 @@ class TestNearOne:
         ref = math.gamma(0.5) / math.gamma(0.75) ** 2
         assert abs(exc.value.best_estimate - ref) <= 1e-12
         assert exc.value.work > 0
+
+
+# mean_series near the circle: the connection formula (Gauss's sum at
+# y = 1) where its estimate clears tol, the power series elsewhere.
+CONNECTION_ALPHAS = [0.05, 0.25, 0.5, 1 - 1e-7, 1 + 1e-9, 1.5, 1.9, 2 - 1e-9]
+# 3 * 2^-53 is 3 ulps below 1; the doubles above 1 are twice as far apart.
+CONNECTION_OFFSETS = [3 * 2.0**-53, 1e-12, 1e-8, 1e-5, 1e-3, 0.02, 0.05]
+CONNECTION_YS = [1.0] + [1.0 - d for d in CONNECTION_OFFSETS] + [
+    1.0 + 2.0 * d if d < 1e-15 else 1.0 + d for d in CONNECTION_OFFSETS]
+
+
+def mp_mean(y: float, alpha: float):
+    """mp_power_mean with the digits to hold 1 - y^2 a few ulps from y = 1."""
+    with mpmath.workdps(60):
+        return mp_power_mean(y, alpha)
+
+
+class TestMeanSeriesNearOne:
+    @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
+    @pytest.mark.parametrize("y", CONNECTION_YS, ids=repr)
+    def test_within_estimate_against_mpmath(self, y, alpha):
+        # The connection path's estimate counts its rounding.  The power
+        # series' bound (taken near alpha = 1 further from the circle)
+        # counts only its tail, so 4 ulp are allowed there.
+        r, trunc = mean_series(y, alpha)
+        ref = mp_mean(y, alpha)
+        slack = 0.0 if trunc.path == "connection" else ulps(ref)
+        assert float(abs(r.value - ref)) <= r.error_estimate + slack
+        assert r.error_estimate <= DEFAULT_SERIES_TOL
+        assert trunc.tail_bound == r.error_estimate
+
+    @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
+    def test_work_near_one(self, alpha):
+        # The power series took 12k terms to its 500k cap within 1e-3 of
+        # y = 1.  Near alpha = 1 the connection formula's two terms cancel
+        # as v^2/|alpha - 1| grows, and the power series takes over again
+        # further from the circle, so there the guard stops at 1e-5.
+        reach = 1e-5 if abs(alpha - 1.0) < 0.1 else 0.05
+        for y in CONNECTION_YS:
+            if abs(y - 1.0) <= reach:
+                assert mean_series(y, alpha)[0].work <= 300, y
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9])
+    def test_gauss_sum_at_one(self, alpha):
+        r, trunc = mean_series(1.0, alpha)
+        assert float(abs(r.value - mp_mean(1.0, alpha))) <= r.error_estimate and r.work == 1
+        assert trunc.path == "connection"
+
+    def test_alpha_one_off_the_circle_sums_the_power_series(self):
+        # Gamma(-1 - alpha) has a pole at alpha = 1 (and where 1 + alpha
+        # rounds to 2); those points keep the power series.
+        for alpha in (1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)):
+            r, trunc = mean_series(1.0 - 1e-6, alpha)
+            assert trunc.path == "power"
+            ref = mp_mean(1.0 - 1e-6, alpha)
+            assert float(abs(r.value - ref)) <= r.error_estimate + ulps(ref)
 
 
 _NEAR_ONE_Y = st.floats(min_value=-12.0, max_value=-1.0).flatmap(

@@ -285,6 +285,19 @@ class TestMeanCommand:
         assert "quadrature" in out and "series" in out and "area_integral" in out
         assert "mc_green" not in out
 
+    def test_alpha_above_two_rejected_before_any_value(self, capsys):
+        # area_integral takes alpha <= 2 only: the trio must fail up front,
+        # not after quadrature and series have printed.
+        assert main(["mean", "--alpha", "3", "--y", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert "value=" not in captured.out
+        assert "error:" in captured.err
+
+    def test_alpha_above_two_with_quadrature_and_series(self, capsys):
+        assert main(["mean", "--alpha", "3", "--y", "0.5", "--backend", "quadrature,series"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == ["quadrature", "series", "log_mean"]
+
 
 def test_module_entrypoint_exit_codes():
     # The child interpreter finds the package where this one did.

@@ -133,6 +133,18 @@ class TestAreaIntegralMean:
             b = area_integral_mean(1.0 + 1e-12, alpha, 1e-8)
             assert abs(a.value - b.value) <= a.error_estimate + b.error_estimate, alpha
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.1])
+    @pytest.mark.parametrize("y", [1.0 + 1e-12, 1.0 + 1e-14])
+    def test_small_alpha_just_above_one(self, y, alpha):
+        # At alpha = 0.05 the tanh-sinh flank's outermost nodes used to
+        # underflow to s = width * d = 0 and reach the near-one expansion,
+        # which raised ValueError.
+        a = area_integral_mean(y, alpha, 1e-8)
+        with mp.workdps(40):
+            yy, aa = mp.mpf(y), mp.mpf(alpha)
+            ref = yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy))
+        assert abs(a.value - float(ref)) <= a.error_estimate <= 1e-8
+
     def test_rejects_alpha_above_two(self):
         with pytest.raises(ValueError):
             area_integral_mean(0.5, 2.5)

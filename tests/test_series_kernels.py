@@ -50,7 +50,7 @@ def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
             tail = 0.0
             break
         if k >= k_min:
-            last = coeff * powers[:, -1]
+            last = abs(coeff) * powers[:, -1]
             geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
             bound = last * geo
             if harmonic_ok:
@@ -178,6 +178,26 @@ class TestHypSeriesExact:
             for b, c in _families(alpha):
                 assert_same_hyp2f1(v, b, c, 1e-16)
                 assert _hyp2f1_series(v, b, c, 1e-16)[0][0] == 1.0
+
+
+class TestSignedCoefficientTail:
+    """F(-alpha/2, -alpha/2; -alpha; v), the first family of the mean's
+    connection formula: for alpha < 1 every coefficient from k = 1 on is
+    negative, and for 1 < alpha < 2 the first is.  The tail bound must
+    take |coefficient|, or it comes out negative and passes any tol."""
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.9, 1.5, 1.9])
+    @pytest.mark.parametrize("cap", [3, 10, 64])
+    def test_tail_bounds_the_omitted_terms(self, alpha, cap):
+        v = np.array([1e-3, 0.02, 0.1, 0.3, 0.6])
+        b, c = 0.5 * alpha, -alpha
+        vals, tail, terms = _hyp2f1_series(v, b, c, 1e-300, max_terms=cap)
+        assert terms == cap + 1 and tail > 0.0
+        with mp.workdps(40):
+            for vi, got in zip(v, vals):
+                ref = mp.hyp2f1(-b, -b, c, mp.mpf(vi))
+                assert float(abs(got - ref)) <= tail + 4.0 * EPS * abs(float(ref)), (vi, got, tail)
+        assert_same_hyp2f1(v, b, c, 1e-300, max_terms=cap)
 
 
 class TestNearOneAgainstMpmath:
