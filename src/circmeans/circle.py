@@ -50,6 +50,8 @@ from .core import (
 from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 
 _BLOCK = 64
+# Default cap on the terms of one series.
+_MAX_TERMS = 500_000
 _EPS = float(np.finfo(float).eps)
 # mean_series takes the connection path where v = 1 - t^2 (t = y or 1/y)
 # is at most _CONNECTION_V_MAX and its error estimate is at most
@@ -100,7 +102,7 @@ def binomial_series_mean(
     beta: float,
     tol: float,
     *,
-    max_terms: int = 500_000,
+    max_terms: int = _MAX_TERMS,
 ) -> tuple[np.ndarray, float, int]:
     """sum_k C(beta/2, k)^2 t^(2k) for 0 <= t <= 1, vectorized over t.
 
@@ -123,7 +125,7 @@ def binomial_series_mean(
 
 
 def _hyp2f1_series(
-    z: np.ndarray, b: float, c: float, tol: float, max_terms: int = 500_000
+    z: np.ndarray, b: float, c: float, tol: float, max_terms: int = _MAX_TERMS
 ) -> tuple[np.ndarray, float, int]:
     """Gauss series F(-b, -b; c; z) = sum_k C(b, k)^2 k!/(c)_k z^k, 0 <= z <= 1.
 
@@ -185,9 +187,7 @@ def _hyp2f1_series(
     return values, tail, k + 1
 
 
-def _connection_sum(
-    v: np.ndarray, alpha: float, n: int, max_terms: int = 500_000
-) -> tuple[np.ndarray, float, int]:
+def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, float, int]:
     """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, for 0 <= v <= 0.75, by the
     connection formula (Abramowitz & Stegun 15.3.6):
 
@@ -216,8 +216,8 @@ def _connection_sum(
         return np.full_like(v, g1), _ROUNDING_FACTOR * _EPS * abs(g1), 1
     b = 0.5 * alpha - n
     g2 = gamma(m - alpha) / gamma(n - 0.5 * alpha) ** 2
-    f1, tail1, k1 = _hyp2f1_series(v, b, -2.0 * b, 1e-16, max_terms)
-    f2, tail2, k2 = _hyp2f1_series(v, -1.0 - b, 2.0 + 2.0 * b, 1e-16, max_terms)
+    f1, tail1, k1 = _hyp2f1_series(v, b, -2.0 * b, 1e-16)
+    f2, tail2, k2 = _hyp2f1_series(v, -1.0 - b, 2.0 + 2.0 * b, 1e-16)
     # v^(1+2b) via exp/log: v can be ~1e-300 while the power is huge.
     x = (alpha - m) * np.log(v)
     vpow = np.exp(x)
@@ -281,11 +281,7 @@ def mean_quadrature(y: float, alpha: float, tol: float = DEFAULT_QUAD_TOL) -> Me
 
 
 def mean_series(
-    y: float,
-    alpha: float,
-    tol: float = DEFAULT_SERIES_TOL,
-    *,
-    max_terms: int = 500_000,
+    y: float, alpha: float, tol: float = DEFAULT_SERIES_TOL
 ) -> tuple[MeanResult, SeriesTruncation]:
     """Circular mean of |1 + y*zeta|^alpha by the binomial power series,
     or near the circle by its connection formula.
@@ -301,13 +297,12 @@ def mean_series(
     alpha = 1 off y = 1 (a gamma pole), the power series is summed.
     There the series converges slowly close to the circle; the returned
     truncation carries the honest (possibly large) tail bound instead
-    of failing.  ``max_terms`` caps each series summed and must be an
-    integer >= 1.  ``work`` counts the terms of every series summed.
+    of failing.  Each series summed stops at 500 000 terms.  ``work``
+    counts the terms of every series summed.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha)
     tol = check_tol(tol)
-    max_terms = _check_max_terms(max_terms)
     if y <= 1.0:
         scale, arg, u = 1.0, y, 1.0 - y
     else:
@@ -319,10 +314,9 @@ def mean_series(
     # 1 + alpha rounds to a whole number: alpha = 1, or within an ulp of 1 or 2.
     near = v <= _CONNECTION_V_MAX and alpha < 2.0 and (v == 0.0 or 1.0 + alpha not in (2.0, 3.0))
     if near:
-        vals, bound, terms = _connection_sum(np.array([v]), alpha, 0, max_terms)
+        vals, bound, terms = _connection_sum(np.array([v]), alpha, 0)
     if not near or bound > _CONNECTION_SHARE * tol / scale:
-        vals, bound, used = binomial_series_mean(np.array([arg]), alpha, tol / scale,
-                                                 max_terms=max_terms)
+        vals, bound, used = binomial_series_mean(np.array([arg]), alpha, tol / scale)
         terms, path = terms + used, "power"
     value, bound = scale * float(vals[0]), scale * bound
     return MeanResult(value, bound, BACKEND_SERIES, terms), SeriesTruncation(terms, bound, path)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -57,9 +58,25 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv(*values) -> str:
+    """One CSV row: numbers through :func:`fmt`, strings as they are."""
+    return ",".join([v if isinstance(v, str) else fmt(v) for v in values])
+
+
+def _table(header: str, rows, out_path: str | None, stdout=None) -> None:
+    """Print a CSV table and, given ``out_path``, write it there too."""
+    lines = [header] + [_csv(*row) for row in rows]
+    if out_path:
+        with open(out_path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    for line in lines:
+        print(line, file=stdout)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid and tolerance settings shared by the grid subcommands."""
+    """Grid and tolerance settings shared by the grid subcommands,
+    validated when built."""
 
     alphas: tuple[float, ...]
     y_min: float
@@ -69,6 +86,9 @@ class SweepConfig:
     tol: float = 1e-9
     seed: int = 0
     backends: tuple[str, ...] = (BACKEND_QUADRATURE, BACKEND_SERIES)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         if not self.alphas:
@@ -111,19 +131,7 @@ class VerificationRow:
     HEADER = "alpha,y,mean,mid_bound,target_bound,margin_mean_mid,margin_mid_target,regime,backend_delta"
 
     def as_csv(self) -> str:
-        return ",".join(
-            [
-                fmt(self.alpha),
-                fmt(self.y),
-                fmt(self.mean),
-                fmt(self.mid),
-                fmt(self.target),
-                fmt(self.margin_mean_mid),
-                fmt(self.margin_mid_target),
-                self.regime,
-                fmt(self.backend_delta),
-            ]
-        )
+        return _csv(*vars(self).values())
 
 
 def _mean_all_backends(y: float, alpha: float, cfg: SweepConfig) -> tuple[float, float]:
@@ -144,9 +152,7 @@ def _mean_all_backends(y: float, alpha: float, cfg: SweepConfig) -> tuple[float,
 
 def run_sweep(cfg: SweepConfig, out_path: str, stdout=None, stderr=None) -> int:
     """Evaluate the chain over the grid, stream rows to CSV, summarize."""
-    stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    cfg.validate()
     # Reject what the bound chain cannot take before --out is opened.
     for alpha in cfg.alphas:
         check_alpha(alpha, upper=2.0)
@@ -208,9 +214,6 @@ def run_sweep(cfg: SweepConfig, out_path: str, stdout=None, stderr=None) -> int:
 
 def emit_figure_data(alphas, ys, out_dir: str, stdout=None) -> list[str]:
     """One CSV per alpha with the three curves, quadrature values."""
-    import os
-
-    stdout = stdout if stdout is not None else sys.stdout
     # Reject what the bound chain cannot take before out_dir is created.
     for alpha in alphas:
         check_alpha(alpha, upper=2.0)
@@ -222,10 +225,8 @@ def emit_figure_data(alphas, ys, out_dir: str, stdout=None) -> list[str]:
             fh.write("y,mean,mid_bound,target_bound\n")
             for y in ys:
                 y = float(y)
-                mean = mean_quadrature(y, alpha).value
-                fh.write(
-                    f"{fmt(y)},{fmt(mean)},{fmt(mid_bound(y, alpha))},{fmt(target_bound(y, alpha))}\n"
-                )
+                fh.write(_csv(y, mean_quadrature(y, alpha).value, mid_bound(y, alpha),
+                              target_bound(y, alpha)) + "\n")
         print(f"wrote {path}", file=stdout)
         paths.append(path)
     return paths
@@ -233,20 +234,13 @@ def emit_figure_data(alphas, ys, out_dir: str, stdout=None) -> list[str]:
 
 def constant_table(alphas, ys, out_path: str | None, stdout=None) -> list[tuple]:
     """Best-constant rows (alpha, lambda_inf, argmin_y, reference, abs_gap)."""
-    stdout = stdout if stdout is not None else sys.stdout
     rows = []
     for alpha in alphas:
         report = best_constant_estimate(alpha, ys)
         reference = min(0.5 * alpha, 1.0)
         gap = abs(report.lambda_inf - reference)
         rows.append((alpha, report.lambda_inf, report.argmin_y, reference, gap))
-    header = "alpha,lambda_inf,argmin_y,reference,abs_gap"
-    lines = [header] + [",".join(fmt(v) for v in row) for row in rows]
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line, file=stdout)
+    _table("alpha,lambda_inf,argmin_y,reference,abs_gap", rows, out_path, stdout)
     return rows
 
 
@@ -264,9 +258,7 @@ def mc_crosscheck(
     deterministic value, plus the documented sqrt(dt) bias allowance for
     the occupation backend.
     """
-    stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    cfg.validate()
     if n < 10_000:
         raise ValueError("mc crosscheck requires n >= 10000")
     # Reject a bad dt or alpha before --out is opened, not after some rows.
@@ -292,15 +284,8 @@ def mc_crosscheck(
                 sig_g = abs(green.mean - det) / green.stderr if green.stderr > 0 else 0.0
                 sig_o = abs(occ.mean - det) / occ.stderr if occ.stderr > 0 else 0.0
                 warned = green.variance_warning or occ.variance_warning
-                fh.write(
-                    ",".join(
-                        [
-                            fmt(alpha), fmt(y), fmt(det), fmt(green.mean), fmt(occ.mean),
-                            fmt(sig_g), fmt(sig_o), "variance" if warned else "",
-                        ]
-                    )
-                    + "\n"
-                )
+                fh.write(_csv(alpha, y, det, green.mean, occ.mean, sig_g, sig_o,
+                              "variance" if warned else "") + "\n")
                 fh.flush()
                 if not warned:
                     allowance = occupation_bias_allowance(y, alpha, dt)
@@ -319,14 +304,13 @@ def mc_crosscheck(
 
 def run_mean(args, stdout=None) -> int:
     """Evaluate one (y, alpha) with each requested backend."""
-    stdout = stdout if stdout is not None else sys.stdout
-    backends = args.backend or list(DETERMINISTIC_BACKENDS)
+    backends = args.backends or DETERMINISTIC_BACKENDS
     for b in backends:
         if b not in BACKENDS:
             raise ValueError(f"unknown backend {b!r}")
-    if len(args.alpha) != 1:
+    if len(args.alphas) != 1:
         raise ValueError("mean evaluates a single point; pass exactly one alpha")
-    y, alpha = args.y, args.alpha[0]
+    y, alpha = args.y, args.alphas[0]
     # Quadrature and series take any alpha > 0, the rest alpha <= 2; check
     # before any value is printed.
     check_alpha(alpha, upper=None if set(backends) <= {BACKEND_QUADRATURE, BACKEND_SERIES} else 2.0)
@@ -364,8 +348,8 @@ def _alpha_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok)
 
 
-def _backend_list(text: str) -> list[str]:
-    return [tok.strip() for tok in text.split(",") if tok.strip()]
+def _backend_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -376,109 +360,88 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_grid_flags(p, y_min=0.01, y_max=4.0, points=50):
-        p.add_argument("--y-min", type=float, default=y_min)
-        p.add_argument("--y-max", type=float, default=y_max)
-        p.add_argument("--points", type=int, default=points)
+    # main builds SweepConfig from every parsed name that is one of its
+    # fields, so a flag that sets a field is stored under the field's name.
+    def add(name, summary, grid=None, alphas=None):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--alpha", dest="alphas", metavar="ALPHA", type=_alpha_list,
+                       required=alphas is None, default=alphas)
+        if grid:
+            y_min, y_max, points = grid
+            p.add_argument("--y-min", type=float, default=y_min)
+            p.add_argument("--y-max", type=float, default=y_max)
+            p.add_argument("--points", type=int, default=points)
+        return p
 
-    p_mean = sub.add_parser("mean", help="evaluate one point with selected backends")
-    p_mean.add_argument("--alpha", type=_alpha_list, required=True)
+    p_mean = add("mean", "evaluate one point with selected backends")
     p_mean.add_argument("--y", type=float, required=True)
     p_mean.add_argument("--tol", type=float, default=1e-10)
-    p_mean.add_argument("--backend", type=_backend_list, default=None,
+    p_mean.add_argument("--backend", dest="backends", metavar="BACKEND", type=_backend_list,
                         help="comma-separated backend tags (default: deterministic trio)")
     p_mean.add_argument("--n", type=int, default=100_000, help="MC sample count")
     p_mean.add_argument("--seed", type=int, default=0)
     p_mean.add_argument("--dt", type=float, default=1e-3)
 
-    p_sweep = sub.add_parser("sweep", help="verify the bound chain over a grid")
-    p_sweep.add_argument("--alpha", type=_alpha_list, required=True)
-    add_grid_flags(p_sweep)
+    p_sweep = add("sweep", "verify the bound chain over a grid", (0.01, 4.0, 50))
     p_sweep.add_argument("--tol", type=float, default=1e-9)
-    p_sweep.add_argument("--backend", type=_backend_list,
-                         default=[BACKEND_QUADRATURE, BACKEND_SERIES])
+    p_sweep.add_argument("--backend", dest="backends", metavar="BACKEND", type=_backend_list,
+                         default=(BACKEND_QUADRATURE, BACKEND_SERIES))
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
-    p_fig = sub.add_parser("figure", help="emit per-alpha curve data")
-    p_fig.add_argument("--alpha", type=_alpha_list, default=(0.5, 1.0, 1.5))
-    add_grid_flags(p_fig, y_min=0.0, y_max=3.0, points=301)
+    p_fig = add("figure", "emit per-alpha curve data", (0.0, 3.0, 301), alphas=(0.5, 1.0, 1.5))
     p_fig.add_argument("--out", required=True, help="output directory")
 
-    p_const = sub.add_parser("constants", help="best-constant table")
-    p_const.add_argument("--alpha", type=_alpha_list, required=True)
-    add_grid_flags(p_const, y_min=1e-4, y_max=50.0, points=80)
+    p_const = add("constants", "best-constant table", (1e-4, 50.0, 80))
     p_const.add_argument("--out", default=None, help="optional CSV output path")
+    # constants always takes a log grid, accumulating at y = 0.
+    p_const.set_defaults(spacing="log")
 
-    p_sharp = sub.add_parser("sharpness", help="witnesses for candidates above alpha/2")
-    p_sharp.add_argument("--alpha", type=_alpha_list, required=True)
+    p_sharp = add("sharpness", "witnesses for candidates above alpha/2")
     p_sharp.add_argument("--excess", type=float, default=1e-3,
                          help="candidate lambda = alpha/2 + excess (>= 1e-4)")
     p_sharp.add_argument("--out", default=None)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo vs deterministic cross-check")
-    p_mc.add_argument("--alpha", type=_alpha_list, required=True)
-    add_grid_flags(p_mc, y_min=0.5, y_max=2.0, points=2)
+    p_mc = add("mc", "Monte Carlo vs deterministic cross-check", (0.5, 2.0, 2))
     p_mc.add_argument("--n", type=int, default=100_000)
     p_mc.add_argument("--seed", type=int, default=0)
     p_mc.add_argument("--dt", type=float, default=1e-3)
     p_mc.add_argument("--out", required=True)
 
-    # constants always takes a log grid, accumulating at y = 0.
     for p in (p_sweep, p_fig, p_mc):
-        p.add_argument("--log", action="store_true", help="log-spaced y grid")
+        p.add_argument("--log", dest="spacing", action="store_const", const="log",
+                       default="linear", help="log-spaced y grid")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "mean":
             return run_mean(args)
-        if args.command == "sweep":
-            cfg = SweepConfig(
-                alphas=args.alpha, y_min=args.y_min, y_max=args.y_max, points=args.points,
-                spacing="log" if args.log else "linear", tol=args.tol,
-                backends=tuple(args.backend),
-            )
-            return run_sweep(cfg, args.out)
-        if args.command == "figure":
-            cfg = SweepConfig(alphas=args.alpha, y_min=args.y_min, y_max=args.y_max,
-                              points=args.points, spacing="log" if args.log else "linear")
-            cfg.validate()
-            emit_figure_data(args.alpha, cfg.grid(), args.out)
-            return _EXIT_OK
-        if args.command == "constants":
-            cfg = SweepConfig(alphas=args.alpha, y_min=args.y_min, y_max=args.y_max,
-                              points=args.points, spacing="log")
-            cfg.validate()
-            constant_table(args.alpha, cfg.grid(), args.out)
-            return _EXIT_OK
         if args.command == "sharpness":
-            lines = ["alpha,lambda,y,violation"]
-            for alpha in args.alpha:
+            rows = []
+            for alpha in args.alphas:
                 w = sharpness_witness(alpha, 0.5 * alpha + args.excess)
-                lines.append(",".join(fmt(v) for v in (alpha, w.lam, w.y, w.violation)))
-            for line in lines:
-                print(line)
-            if args.out:
-                with open(args.out, "w", newline="\n") as fh:
-                    fh.write("\n".join(lines) + "\n")
+                rows.append((alpha, w.lam, w.y, w.violation))
+            _table("alpha,lambda,y,violation", rows, args.out)
             return _EXIT_OK
+        fields = SweepConfig.__dataclass_fields__
+        cfg = SweepConfig(**{k: v for k, v in vars(args).items() if k in fields})
+        if args.command == "sweep":
+            return run_sweep(cfg, args.out)
         if args.command == "mc":
-            cfg = SweepConfig(
-                alphas=args.alpha, y_min=args.y_min, y_max=args.y_max, points=args.points,
-                spacing="log" if args.log else "linear", seed=args.seed,
-            )
             return mc_crosscheck(cfg, args.n, args.dt, args.out)
-        raise ValueError(f"unknown command {args.command!r}")
+        if args.command == "figure":
+            emit_figure_data(cfg.alphas, cfg.grid(), args.out)
+        else:
+            constant_table(cfg.alphas, cfg.grid(), args.out)
+        return _EXIT_OK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_FAILURE
-    except NumericalFailure as exc:
+    except (NumericalFailure, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return _EXIT_FAILURE
+    return _EXIT_FAILURE
 
 
 def entry() -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import mean_quadrature
-from .core import NumericalFailure, check_alpha, check_radius, check_tol
+from .core import NumericalFailure, check_alpha, check_radius
 
 # Quadrature tolerance used by the profile: near machine precision, since
 # lambda(y) divides a quantity of size ~y^2 by y^2.
@@ -57,7 +57,7 @@ class SharpnessReport:
     second_derivative: float
 
 
-def lambda_profile(alpha: float, y: float, tol: float = _PROFILE_TOL) -> float:
+def lambda_profile(alpha: float, y: float) -> float:
     """Largest lambda for which the reduced inequality is tight at y.
 
     Rearranging (1 + lambda y^2)^(1/2) <= mean(y, alpha)^(1/alpha) gives
@@ -70,7 +70,7 @@ def lambda_profile(alpha: float, y: float, tol: float = _PROFILE_TOL) -> float:
     y = check_radius(y)
     if y == 0.0:
         raise ValueError("lambda profile requires y > 0")
-    mean = mean_quadrature(y, alpha, tol).value
+    mean = mean_quadrature(y, alpha, _PROFILE_TOL).value
     return math.expm1((2.0 / alpha) * math.log1p(mean - 1.0)) / (y * y)
 
 
@@ -156,13 +156,7 @@ def sharpness_witness(alpha: float, lam: float) -> Witness:
     )
 
 
-def verify_inequality(
-    x: complex,
-    y: complex,
-    alpha: float,
-    lam: float,
-    tol: float = 1e-10,
-) -> float:
+def verify_inequality(x: complex, y: complex, alpha: float, lam: float) -> float:
     """Margin RHS - LHS of the convexity inequality at a complex pair.
 
     LHS = (|x|^2 + lam*|y|^2)^(1/2),
@@ -171,13 +165,12 @@ def verify_inequality(
     Rotation and scaling reduce the pair to the canonical radius
     |y|/|x|; x = 0 and y = 0 need no quadrature at all.  Requires
     alpha in (0, 2] and lam <= alpha/2, under which the margin is
-    >= -tol.
+    >= -1e-10, the quadrature tolerance.
     """
     alpha = check_alpha(alpha, upper=2.0)
     lam = float(lam)
     if lam > 0.5 * alpha:
         raise ValueError(f"lambda must not exceed alpha/2 = {0.5 * alpha}, got {lam}")
-    check_tol(tol)
     ax = abs(complex(x))
     ay = abs(complex(y))
     lhs = math.sqrt(max(ax * ax + lam * ay * ay, 0.0))
@@ -188,7 +181,7 @@ def verify_inequality(
         rhs = ay
     else:
         r = ay / ax
-        mean = mean_quadrature(r, alpha, tol).value
+        mean = mean_quadrature(r, alpha, 1e-10).value
         rhs = ax * mean ** (1.0 / alpha)
     return rhs - lhs
 

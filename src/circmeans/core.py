@@ -162,8 +162,9 @@ class MeanResult:
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.error_estimate < 0.0:
-            raise ValueError("error_estimate must be >= 0")
+        # inf is allowed: a capped series reports an infinite tail.
+        if not self.error_estimate >= 0.0:
+            raise ValueError(f"error_estimate must be >= 0, got {self.error_estimate!r}")
 
 
 @dataclass(frozen=True)

@@ -98,9 +98,9 @@ def integrate_adaptive(
     sum of per-panel |Kronrod - Gauss| differences, a deliberately
     conservative proxy.  Panels narrower than ~1e-14 of the domain are
     frozen rather than split further; if the estimate still exceeds
-    ``tol`` once ``max_panels`` is reached, a :class:`NumericalFailure`
-    carrying the best estimate, its error estimate and the work done is
-    raised.
+    ``tol`` once ``max_panels`` is reached, or is NaN, a
+    :class:`NumericalFailure` carrying the best estimate, its error
+    estimate and the work done is raised.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy b > a")
@@ -140,7 +140,8 @@ def integrate_adaptive(
     # Exact panel-sum in spatial order keeps rounding noise at a few ulps.
     ordered = sorted([(h[1], h[3]) for h in heap] + [(p[0], p[1]) for p in frozen])
     value = math.fsum(v for _, v in ordered)
-    if err > tol:
+    # `not err <= tol` also catches a NaN estimate.
+    if not err <= tol:
         raise NumericalFailure(
             f"adaptive quadrature did not reach tol={tol:g} (error ~{err:.3g})",
             best_estimate=value, error_estimate=err, work=n_eval,
@@ -161,7 +162,7 @@ def integrate_tanhsinh_singular(
     double-exponential tail the rule reaches before transformed terms
     drop below ~1e-16 relative.  The step is halved at most 12 times
     from h = 1/2.  Returns (value, error_estimate, evaluations); an
-    error estimate above ``tol`` raises
+    error estimate above ``tol``, or NaN, raises
     :class:`~circmeans.core.NumericalFailure` with the best estimate.
     """
     if width <= 0.0:
@@ -208,7 +209,7 @@ def integrate_tanhsinh_singular(
         total = new_total
     else:
         err = abs(total - prev)
-    if err > tol:
+    if not err <= tol:
         raise NumericalFailure(
             f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",
             best_estimate=total, error_estimate=err, work=n_eval,

@@ -45,11 +45,66 @@ class TestSweepConfig:
         with pytest.raises(ValueError):
             SweepConfig(**{**base, "backends": ("fft",)}).validate()
 
+    @pytest.mark.parametrize("bad", [
+        {"alphas": ()}, {"y_min": 3.0}, {"points": 1}, {"tol": -1.0},
+        {"spacing": "cubic"}, {"backends": ("fft",)}, {"y_min": 0.0, "spacing": "log"},
+    ])
+    def test_invalid_config_raises_at_construction(self, bad):
+        base = dict(alphas=(1.0,), y_min=0.1, y_max=2.0, points=10)
+        with pytest.raises(ValueError):
+            SweepConfig(**{**base, **bad})
+
     def test_grids(self):
         cfg = SweepConfig(alphas=(1.0,), y_min=1.0, y_max=4.0, points=3, spacing="log")
         assert np.allclose(cfg.grid(), [1.0, 2.0, 4.0])
         cfg = SweepConfig(alphas=(1.0,), y_min=0.0, y_max=1.0, points=3)
         assert np.allclose(cfg.grid(), [0.0, 0.5, 1.0])
+
+
+class TestFlagsReachConfig:
+    """Each grid subcommand's non-default flags land in its SweepConfig."""
+
+    def capture(self, monkeypatch, name):
+        seen = []
+        monkeypatch.setattr(cli, name, lambda *args: seen.append(args) or 0)
+        return seen
+
+    def test_sweep(self, monkeypatch):
+        seen = self.capture(monkeypatch, "run_sweep")
+        assert main(["sweep", "--alpha", "1,0.5", "--y-min", "0.1", "--y-max", "2", "--points", "7",
+                     "--tol", "1e-7", "--backend", "quadrature,area_integral", "--log",
+                     "--out", "s.csv"]) == 0
+        assert seen == [(SweepConfig(alphas=(1.0, 0.5), y_min=0.1, y_max=2.0, points=7,
+                                     spacing="log", tol=1e-7,
+                                     backends=("quadrature", "area_integral")), "s.csv")]
+
+    def test_mc(self, monkeypatch):
+        seen = self.capture(monkeypatch, "mc_crosscheck")
+        assert main(["mc", "--alpha", "1.5", "--y-min", "0.7", "--y-max", "3", "--points", "4",
+                     "--seed", "9", "--n", "20000", "--dt", "5e-4", "--log", "--out", "m.csv"]) == 0
+        assert seen == [(SweepConfig(alphas=(1.5,), y_min=0.7, y_max=3.0, points=4, spacing="log",
+                                     seed=9), 20000, 5e-4, "m.csv")]
+
+    def test_defaults_are_linear(self, monkeypatch):
+        seen = self.capture(monkeypatch, "run_sweep")
+        assert main(["sweep", "--alpha", "1", "--out", "s.csv"]) == 0
+        assert seen == [(SweepConfig(alphas=(1.0,), y_min=0.01, y_max=4.0, points=50), "s.csv")]
+
+    def test_figure_log_grid(self, monkeypatch):
+        seen = self.capture(monkeypatch, "emit_figure_data")
+        assert main(["figure", "--alpha", "2", "--y-min", "0.1", "--y-max", "10", "--points", "3",
+                     "--log", "--out", "f"]) == 0
+        (alphas, ys, out), = seen
+        assert alphas == (2.0,) and out == "f"
+        assert np.allclose(ys, [0.1, 1.0, 10.0])
+
+    def test_constants_log_grid_by_default(self, monkeypatch):
+        seen = self.capture(monkeypatch, "constant_table")
+        assert main(["constants", "--alpha", "1,2", "--y-min", "0.01", "--y-max", "1",
+                     "--points", "3"]) == 0
+        (alphas, ys, out), = seen
+        assert alphas == (1.0, 2.0) and out is None
+        assert np.allclose(ys, [0.01, 0.1, 1.0])
 
 
 class TestSweepCommand:
@@ -297,6 +352,17 @@ class TestMeanCommand:
         assert main(["mean", "--alpha", "3", "--y", "0.5", "--backend", "quadrature,series"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split()[0] for line in lines] == ["quadrature", "series", "log_mean"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha", "1", "--y", "1e155"],                         # (1 - y)**2 in the quadrature
+    ["--alpha", "3", "--y", "1e120", "--backend", "series"],  # y**alpha in the inversion
+])
+def test_overflow_is_a_numerical_failure(capsys, flags):
+    assert main(["mean", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:")
+    assert "Traceback" not in err
 
 
 def test_module_entrypoint_exit_codes():

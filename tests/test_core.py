@@ -96,6 +96,13 @@ def test_mean_result_rejects_unknown_backend():
         MeanResult(1.0, -1e-3, "series", 1)
 
 
+def test_mean_result_rejects_nan_estimate_accepts_inf():
+    with pytest.raises(ValueError, match="error_estimate"):
+        MeanResult(1.0, math.nan, "quadrature", 1)
+    # A series stopped at its term cap reports an infinite tail.
+    assert MeanResult(1.0, math.inf, "series", 1).error_estimate == math.inf
+
+
 def test_mc_estimate_validation():
     with pytest.raises(ValueError):
         McEstimate(1.0, 0.1, 0)

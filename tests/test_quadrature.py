@@ -74,6 +74,16 @@ def test_budget_exhaustion_raises_with_best_estimate():
     assert exc.value.work > 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_error_estimate_raises():
+    # A Kronrod node lands on the pole at 0.3: the panel sums go inf and
+    # the estimate NaN, which `err > tol` used to let through.
+    with pytest.raises(NumericalFailure) as exc:
+        integrate_adaptive(lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0, 1e-13)
+    assert math.isnan(exc.value.error_estimate)
+    assert exc.value.work > 0
+
+
 def test_invalid_interval():
     with pytest.raises(ValueError):
         integrate_adaptive(lambda x: x, 1.0, 0.0, 1e-6)
@@ -122,6 +132,11 @@ class TestTanhSinh:
         # (1/pi) int_0^pi |1 + e^{i th}|^0.1 dth = Gamma(1.1) / Gamma(1.05)^2
         assert info.value.best_estimate == pytest.approx(math.gamma(1.1) / math.gamma(1.05) ** 2, rel=1e-13)
         assert info.value.error_estimate > 1e-30
+
+    def test_nan_integrand_raises(self):
+        with pytest.raises(NumericalFailure) as exc:
+            integrate_tanhsinh_singular(lambda s: np.full_like(s, np.nan), 1.0, 1.0, 1e-10)
+        assert math.isnan(exc.value.best_estimate) and math.isnan(exc.value.error_estimate)
 
     def test_zero_width(self):
         assert integrate_tanhsinh_singular(lambda s: s, 0.0, 1.0, 1e-12) == (0.0, 0.0, 0)
