@@ -10,7 +10,8 @@ sharpness   violation witnesses for candidates above alpha/2
 mc          Monte Carlo vs deterministic cross-check table
 
 Exit status is 0 for a clean pass, 1 when a verification gate fails
-(offending rows go to stderr), 2 on configuration or numerical failure.
+(offending rows go to stderr), 2 on configuration or numerical failure,
+an output path that cannot be written included.
 CSV files use comma separators, '.' decimal points, 17 significant
 digits (lossless for binary64), a header row and Unix line endings;
 with a fixed seed the bytes are identical run to run.
@@ -398,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sharp = add("sharpness", "witnesses for candidates above alpha/2")
     p_sharp.add_argument("--excess", type=float, default=1e-3,
-                         help="candidate lambda = alpha/2 + excess (>= 1e-4)")
+                         help="candidate lambda = alpha/2 + excess (> 0; reaches about 1e-6)")
     p_sharp.add_argument("--out", default=None)
 
     p_mc = add("mc", "Monte Carlo vs deterministic cross-check", (0.5, 2.0, 2))
@@ -437,9 +438,9 @@ def main(argv=None) -> int:
         else:
             constant_table(cfg.alphas, cfg.grid(), args.out)
         return _EXIT_OK
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-    except (NumericalFailure, OverflowError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
     return _EXIT_FAILURE
 

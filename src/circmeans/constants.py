@@ -30,12 +30,9 @@ from .circle import mean_quadrature
 from .core import NumericalFailure, check_alpha, check_radius
 
 # Quadrature tolerance used by the profile: near machine precision, since
-# lambda(y) divides a quantity of size ~y^2 by y^2.
+# lambda(y) divides a quantity of size ~y^2 by y^2.  Also the y-independent
+# part of the witness search's noise floor.
 _PROFILE_TOL = 1e-13
-# Witness search: least accepted excess lam - alpha/2, and the last k
-# of the radii y = 2^-k it tries (see sharpness_witness).
-_WITNESS_MARGIN = 1e-4
-_WITNESS_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,12 @@ def lambda_profile(alpha: float, y: float) -> float:
 
     Rearranging (1 + lambda y^2)^(1/2) <= mean(y, alpha)^(1/alpha) gives
     lambda(y) = (mean^(2/alpha) - 1)/y^2.  Computed from the quadrature
-    backend through expm1/log1p so the 1-cancellation costs nothing even
-    at y ~ 1e-6.  alpha > 2 is allowed (profile tends to 1 from above as
-    y grows).
+    backend through expm1/log1p, which keep the power from adding error
+    but cannot undo the cancellation in mean - 1 ~ (alpha/2)^2 y^2: the
+    relative error grows like eps/y^2.  Against 50-digit mpmath at
+    alpha = 0.5 it is 1e-9 at y = 1e-3, 8e-8 at 1e-4, 1.7e-3 at 1e-6 and
+    0.42 at 1e-7.  alpha > 2 is allowed (profile tends to 1 from above
+    as y grows).
     """
     alpha = check_alpha(alpha)
     y = check_radius(y)
@@ -107,10 +107,16 @@ def second_derivative_at_zero(alpha: float) -> float:
 def best_constant_estimate(alpha: float, y_grid: np.ndarray) -> SharpnessReport:
     """Minimum of the lambda profile over a grid accumulating at 0.
 
-    For alpha in (0, 2] the reported minimum sits at the smallest grid
-    point and approaches alpha/2 quadratically in that point; for
-    alpha > 2 the minimum migrates to the largest grid point and
-    approaches 1 like (alpha/2 - 1)/y_max^2.
+    For alpha in (0, 2] the exact profile falls to alpha/2 as y -> 0,
+    quadratically in y, so its grid minimum is the smallest point.  The
+    computed profile's noise (relative size about eps/y^2, see
+    :func:`lambda_profile`) outweighs that excess below y ~ 1e-3, so
+    on a grid reaching further down the reported minimum is a noise
+    point and can fall below alpha/2: on the CLI's default grid (80
+    points from 1e-4) it is at y = 1.39e-4, 2.8e-8 below alpha/2 at
+    alpha = 0.5 and 9.3e-9 below 1 at alpha = 2.  For alpha > 2 the
+    minimum migrates to the largest grid point and approaches 1 like
+    (alpha/2 - 1)/y_max^2.
     """
     alpha = check_alpha(alpha)
     ys = np.asarray(y_grid, dtype=float)
@@ -127,30 +133,32 @@ def best_constant_estimate(alpha: float, y_grid: np.ndarray) -> SharpnessReport:
 
 
 def sharpness_witness(alpha: float, lam: float) -> Witness:
-    """Find y with (1 + lam*y^2)^(alpha/2) > mean(y, alpha).
+    """Find y with (1 + lam*y^2)^(alpha/2) > mean(y, alpha), for any lam > alpha/2.
 
-    Requires lam > alpha/2 + 1e-4: the violation near 0 scales like
-    (alpha/2)*(lam - alpha/2)*y^2, so candidates closer to the threshold
-    drown in working precision.  Searches y = 2^{-k}, k = 0..30, and
-    returns the first violation that clears the numerical noise floor;
-    exhaustion raises NumericalFailure.
+    Searches y = 1, 1/2, 1/4, ... and returns the first violation that
+    clears the noise floor 2*error + 1e-13.  For y <= 1 and alpha <= 2,
+    Bernoulli gives (1 + lam*y^2)^(alpha/2) <= 1 + (alpha/2)*lam*y^2 and
+    the nonnegative series gives mean >= 1 + (alpha/2)^2*y^2, so the
+    violation is at most curvature_gap/2 * y^2 = (alpha/2)(lam - alpha/2)y^2.
+    Once that bound is at most 1e-13, the floor's part that holds at
+    every y, no smaller y can clear the floor, and NumericalFailure is
+    raised: lam is too close to alpha/2 for working precision.
     """
     alpha = check_alpha(alpha, upper=2.0)
     lam = float(lam)
-    if not lam > 0.5 * alpha + _WITNESS_MARGIN:
-        raise ValueError(
-            f"candidate lambda={lam} is not above alpha/2 + margin = {0.5 * alpha + _WITNESS_MARGIN}"
-        )
-    for k in range(_WITNESS_MAX_HALVINGS + 1):
-        y = 2.0**-k
+    if not lam > 0.5 * alpha:
+        raise ValueError(f"candidate lambda={lam} is not above alpha/2 = {0.5 * alpha}")
+    half_gap = 0.5 * curvature_gap(alpha, lam)
+    y = 1.0
+    while half_gap * y * y > _PROFILE_TOL:
         result = mean_quadrature(y, alpha, _PROFILE_TOL)
         rhs = math.expm1(0.5 * alpha * math.log1p(lam * y * y))  # b(y) - 1
         violation = rhs - (result.value - 1.0)
-        noise = 2.0 * result.error_estimate + 1e-13
-        if violation > noise:
+        if violation > 2.0 * result.error_estimate + _PROFILE_TOL:
             return Witness(lam=lam, y=y, violation=violation)
+        y *= 0.5
     raise NumericalFailure(
-        f"no violation found down to y = 2^-{_WITNESS_MAX_HALVINGS} for alpha={alpha}, lambda={lam}; "
+        f"no violation can clear the noise floor at y <= {y!r} for alpha={alpha}, lambda={lam}; "
         "the candidate is too close to alpha/2 for working precision",
         best_estimate=math.nan,
     )

@@ -48,8 +48,12 @@ from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 # above, connection expansion in the ring around t = 1.
 _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
-# |alpha - 1| below this uses the alpha = 1 closed form.
-_DEGENERATE_BAND = 1e-6
+# |alpha - 1| up to this uses the alpha = 1 closed form.  A scan against
+# mpmath over u in [1e-300, 0.5] puts the crossover of the two values'
+# worst relative errors at |alpha - 1| = 6e-10 (2.2e-9 for u >= 1e-50);
+# at 1e-9 the closed form is off by up to 5.7e-8 for u >= 1e-50 and
+# 3.5e-7 at u = 1e-300, the connection formula by up to 1.8e-7.
+_DEGENERATE_BAND = 1e-9
 
 
 def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -65,8 +69,10 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     where G1 = Gamma(alpha-1)/Gamma(alpha/2)^2 and
     G2 = Gamma(1-alpha)/Gamma(1-alpha/2)^2.  The expansion takes u
     directly, so radii within 1e-300 of the circle are handled without
-    forming 1 - u.  For |alpha - 1| <= 1e-6 (where the two gamma
-    prefactors blow up individually) the alpha = 1 closed form
+    forming 1 - u.  Its two gamma prefactors blow up like 1/|alpha - 1|,
+    and the cancellation between the families costs up to about
+    3e-16/|alpha - 1| relative.  For |alpha - 1| <= 1e-9, about where
+    that cost passes the closed form's error, the alpha = 1 closed form
     m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead, off by
     about |alpha - 1| ln(1/u) / 2 relative.  alpha = 2 returns 1
     identically.
@@ -246,8 +252,10 @@ def radial_integral_lower(y: float, alpha: float) -> float:
         return 0.25
     ln_y = math.log(y)
     a2 = alpha * alpha
+    # Where y^alpha would overflow (e^709.78), its term is below an ulp of 1/a2.
+    y_alpha = y**alpha if alpha * ln_y < 709.0 else math.inf
     return (1.0 + 2.0 * ln_y) / (4.0 * y * y) + y ** (alpha - 2.0) * (
-        1.0 / a2 - (1.0 + alpha * ln_y) / (a2 * y**alpha)
+        1.0 / a2 - (1.0 + alpha * ln_y) / (a2 * y_alpha)
     )
 
 

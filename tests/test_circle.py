@@ -211,6 +211,31 @@ class TestInversionSymmetry:
             inversion_symmetry(0.0, 1.0)
 
 
+class TestHugeRadius:
+    """(1 - y)^2 overflows past y ~ 1.34e154 and the inversion's y^alpha
+    past 1.8e308: both raise NumericalFailure, never OverflowError."""
+
+    @pytest.mark.parametrize("y", [1e155, 1e200, 1e300])
+    def test_quadrature_and_log_mean(self, y):
+        for alpha in (0.5, 1.0, 1.9):
+            with pytest.raises(NumericalFailure):
+                mean_quadrature(y, alpha)
+        with pytest.raises(NumericalFailure):
+            log_mean(y)
+
+    @pytest.mark.parametrize("y", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.9])
+    def test_series(self, y, alpha):
+        if alpha * math.log10(y) > 308.0:
+            with pytest.raises(NumericalFailure):
+                inversion_symmetry(y, alpha)
+            with pytest.raises(NumericalFailure):
+                mean_series(y, alpha)
+        else:
+            # mean = y^alpha (1 + alpha^2/(4 y^2) + ...) = y^alpha in binary64.
+            assert mean_series(y, alpha)[0].value == pytest.approx(y**alpha, rel=1e-15)
+
+
 class TestLogMean:
     def test_inside_disk_is_zero(self):
         assert abs(log_mean(0.5)) <= 1e-10
@@ -340,15 +365,17 @@ class TestMeanSeriesNearOne:
     @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
     @pytest.mark.parametrize("y", CONNECTION_YS, ids=repr)
     def test_within_estimate_against_mpmath(self, y, alpha):
-        # The connection path's estimate counts its rounding.  The power
-        # series' bound (taken near alpha = 1 further from the circle)
-        # counts only its tail, so 4 ulp are allowed there.
+        # Both paths' estimates count rounding.  On the power series (taken
+        # near alpha = 1 further from the circle) the truncation's bound is
+        # the tail alone, and the estimate adds the rounding term to it.
         r, trunc = mean_series(y, alpha)
         ref = mp_mean(y, alpha)
-        slack = 0.0 if trunc.path == "connection" else ulps(ref)
-        assert float(abs(r.value - ref)) <= r.error_estimate + slack
+        assert float(abs(r.value - ref)) <= r.error_estimate
         assert r.error_estimate <= DEFAULT_SERIES_TOL
-        assert trunc.tail_bound == r.error_estimate
+        if trunc.path == "connection":
+            assert trunc.tail_bound == r.error_estimate
+        else:
+            assert trunc.tail_bound < r.error_estimate
 
     @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
     def test_work_near_one(self, alpha):
@@ -374,7 +401,7 @@ class TestMeanSeriesNearOne:
             r, trunc = mean_series(1.0 - 1e-6, alpha)
             assert trunc.path == "power"
             ref = mp_mean(1.0 - 1e-6, alpha)
-            assert float(abs(r.value - ref)) <= r.error_estimate + ulps(ref)
+            assert float(abs(r.value - ref)) <= r.error_estimate
 
 
 _NEAR_ONE_Y = st.floats(min_value=-12.0, max_value=-1.0).flatmap(

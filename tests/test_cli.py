@@ -252,7 +252,20 @@ class TestSharpnessCommand:
             assert viol > 0.0
 
     def test_excess_too_small_exit_2(self, capsys):
-        assert main(["sharpness", "--alpha", "1", "--excess", "1e-5"]) == 2
+        assert main(["sharpness", "--alpha", "1", "--excess", "1e-5"]) == 0
+        capsys.readouterr()
+        # Past the reach of working precision: no witness can clear the floor.
+        assert main(["sharpness", "--alpha", "1", "--excess", "1e-9"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:")
+        assert "Traceback" not in err
+
+    def test_small_excess_witnesses(self, capsys):
+        assert main(["sharpness", "--alpha", "0.5,1,2", "--excess", "1e-6"]) == 0
+        out = capsys.readouterr().out.strip().split("\n")
+        assert len(out) == 4
+        for line in out[1:]:
+            assert float(line.split(",")[3]) > 0.0
 
 
 class TestMcCommand:
@@ -363,6 +376,21 @@ def test_overflow_is_a_numerical_failure(capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["sweep", "--alpha", "1", "--points", "3"],
+    ["mc", "--alpha", "1.5", "--points", "2", "--n", "10000"],
+    ["constants", "--alpha", "1", "--points", "3"],
+    ["sharpness", "--alpha", "1"],
+])
+def test_out_in_missing_directory_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "missing" / "x.csv"
+    assert main([*flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.parent.exists()
 
 
 def test_module_entrypoint_exit_codes():

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+import circmeans.constants as constants
 from circmeans.circle import mean_quadrature
 from circmeans.constants import (
     Witness,
@@ -13,6 +15,7 @@ from circmeans.constants import (
     sharpness_witness,
     verify_inequality,
 )
+from circmeans.core import NumericalFailure
 
 
 def brute_force_margin(x: complex, y: complex, alpha: float, lam: float, n: int = 200_000) -> float:
@@ -23,6 +26,13 @@ def brute_force_margin(x: complex, y: complex, alpha: float, lam: float, n: int 
     rhs = float(np.mean(vals)) ** (1.0 / alpha)
     lhs = math.sqrt(max(abs(x) ** 2 + lam * abs(y) ** 2, 0.0))
     return rhs - lhs
+
+
+def mp_violation(alpha: float, lam: float, y: float):
+    """(1 + lam*y^2)^(alpha/2) - mean(y, alpha) in 40-digit mpmath, y <= 1."""
+    with mp.workdps(40):
+        a, t = mp.mpf(alpha), mp.mpf(y) ** 2
+        return (1 + mp.mpf(lam) * t) ** (a / 2) - mp.hyp2f1(-a / 2, -a / 2, 1, t)
 
 
 class TestLambdaProfile:
@@ -128,8 +138,9 @@ class TestSharpnessWitness:
     def test_rejects_candidate_at_threshold(self):
         with pytest.raises(ValueError):
             sharpness_witness(1.0, 0.5)
-        with pytest.raises(ValueError):
-            sharpness_witness(1.0, 0.50005)  # within the margin band
+        # An excess of 5e-5 is well inside the search's reach.
+        w = sharpness_witness(1.0, 0.50005)
+        assert mp_violation(1.0, w.lam, w.y) > 0
 
     def test_no_violation_at_half_alpha_down_to_2_pow_30(self):
         # The search criterion itself, applied at lambda = alpha/2, must
@@ -142,6 +153,64 @@ class TestSharpnessWitness:
                 rhs = math.expm1(0.5 * alpha * math.log1p(lam * y * y))
                 violation = rhs - (r.value - 1.0)
                 assert violation <= 2.0 * r.error_estimate + 1e-13
+
+
+WITNESS_ALPHAS = [0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 1.9, 2.0]
+# (y, violation) at excess 1e-3 from the earlier search, which stopped at
+# a fixed margin of 1e-4 and after 30 halvings; the bound-based stop
+# must find the same points.
+WITNESSES_AT_1E_3 = {
+    0.05: (0.25, 9.338538296121081e-07),
+    0.1: (0.25, 6.205847528171083e-07),
+    0.25: (0.125, 1.006768246198601e-06),
+    0.5: (0.125, 3.1030066047427543e-07),
+    1.0: (0.0625, 1.236194708545673e-06),
+    1.5: (0.0625, 1.9896606492948027e-06),
+    1.9: (0.125, 9.488817592677792e-06),
+    2.0: (1.0, 0.0009999999999998899),
+}
+
+
+class TestWitnessReach:
+    """The search ends where the violation bound (alpha/2)(lam - alpha/2)y^2
+    falls to the noise floor, not at a fixed margin or halving count."""
+
+    @pytest.mark.parametrize("excess", [1e-3, 1e-4, 1e-5, 1e-6])
+    @pytest.mark.parametrize("alpha", WITNESS_ALPHAS)
+    def test_witness_confirmed_by_mpmath(self, alpha, excess):
+        lam = 0.5 * alpha + excess
+        w = sharpness_witness(alpha, lam)
+        ref = mp_violation(alpha, lam, w.y)
+        assert ref > 0
+        assert abs(w.violation - float(ref)) <= 1e-13
+        if excess == 1e-3:
+            assert (w.y, w.violation) == WITNESSES_AT_1E_3[alpha]
+
+    @pytest.mark.parametrize("alpha", WITNESS_ALPHAS[:-1])
+    def test_past_the_reach_fails_after_few_halvings(self, alpha, monkeypatch):
+        radii = []
+
+        def counting(y, a, tol):
+            radii.append(y)
+            return mean_quadrature(y, a, tol)
+
+        monkeypatch.setattr(constants, "mean_quadrature", counting)
+        with pytest.raises(NumericalFailure):
+            sharpness_witness(alpha, 0.5 * alpha + 1e-9)
+        assert len(radii) < 30
+
+    def test_alpha_two_finds_y_one_at_tiny_excess(self):
+        # At alpha = 2 the violation is exactly (lam - 1) y^2.
+        w = sharpness_witness(2.0, 1.0 + 1e-9)
+        assert w.y == 1.0
+
+    @pytest.mark.parametrize("alpha", WITNESS_ALPHAS)
+    def test_only_lambda_up_to_half_alpha_is_rejected(self, alpha):
+        for lam in (0.5 * alpha, 0.5 * alpha - 1e-3, 0.0):
+            with pytest.raises(ValueError):
+                sharpness_witness(alpha, lam)
+        with pytest.raises(NumericalFailure):
+            sharpness_witness(alpha, math.nextafter(0.5 * alpha, math.inf))
 
 
 class TestCurvatureGap:

@@ -198,6 +198,15 @@ class TestRadialIntegralLower:
         with pytest.raises(ValueError):
             radial_integral_lower(0.0, 1.0)
 
+    @pytest.mark.parametrize("y", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("alpha", [0.5, 1.9, 2.0])
+    def test_huge_y_where_y_alpha_overflows(self, y, alpha):
+        with mp.workdps(30):
+            a, yy = mp.mpf(alpha), mp.mpf(y)
+            ref = (1 + 2 * mp.log(yy)) / (4 * yy**2) + yy ** (a - 2) * (
+                1 / a**2 - (1 + a * mp.log(yy)) / (a**2 * yy**a))
+        assert radial_integral_lower(y, alpha) == pytest.approx(float(ref), rel=1e-13)
+
 
 class TestLowerBoundFromArea:
     def test_small_branch_value(self):

@@ -226,15 +226,18 @@ class TestNearOneAgainstMpmath:
 
 
 class TestDegenerateBandAgainstMpmath:
-    """inner_mean_near_one on both sides of |alpha - 1| = 1e-6.
+    """inner_mean_near_one inside the band |alpha - 1| <= 1e-9 and at
+    1e-7 to 1e-5 outside it.
 
     Inside the band the alpha = 1 value stands in, so the error is that
     value's first-order error in alpha: about |alpha - 1| ln(1/u) / 2
-    relative, 1e-6 relative only for u near 0.1 and 3.5e-4 at u = 1e-300
-    when |alpha - 1| = 1e-6.  Just outside the band the two connection
-    families cancel worst (their gamma prefactors grow like 1/|alpha - 1|)
-    and the error stays below 2e-10 relative.  In floating point
-    1 + 1e-6 lies inside the band and 1 - 1e-6 just outside it.
+    relative, 3.5e-7 at u = 1e-300 when |alpha - 1| = 1e-9.  Outside it
+    the two connection families cancel (their gamma prefactors grow like
+    1/|alpha - 1|), which costs up to about 3e-16/|alpha - 1| relative:
+    1.5e-9 at |alpha - 1| = 1e-7 and 1e-10 at 1e-6, where the alpha = 1
+    value would be off by up to 3.5e-5 and 3.5e-4.  The band ends about
+    where the two errors cross; just outside it, at 1 +- 1e-9 (both
+    outside in floating point), the connection formula is within 1.8e-7.
     """
 
     U = np.array([1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5])
@@ -253,7 +256,8 @@ class TestDegenerateBandAgainstMpmath:
         return [float(abs(g - self.reference(u, alpha)) / self.reference(u, alpha))
                 for u, g in zip(self.U, got)]
 
-    @pytest.mark.parametrize("alpha", [1 + 1e-7, 1 - 1e-7, 1 + 1e-6, 1 - 1e-6])
+    @pytest.mark.parametrize("alpha", [1 + 1e-7, 1 - 1e-7, 1 + 1e-6, 1 - 1e-6,
+                                       1 + 1e-10, 1 - 1e-10, 1 + 9e-10, 1 - 9e-10])
     def test_in_and_at_the_band(self, alpha):
         for u, rel in zip(self.U, self.relative_errors(alpha)):
             assert rel <= abs(alpha - 1.0) * (1.0 + 0.5 * math.log(1.0 / u)), (alpha, u, rel)
