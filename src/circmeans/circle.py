@@ -62,8 +62,10 @@ _CONNECTION_V_MAX = 0.1
 _CONNECTION_SHARE = 0.25
 # c in the connection path's rounding term (see _connection_sum).
 _ROUNDING_FACTOR = 16.0
-# c in the power series' rounding term c eps value (see mean_series).
+# c in the power series' rounding term c eps value (see mean_series): 8,
+# or a quarter of the number of _BLOCK-term blocks summed where that is more.
 _SERIES_ROUNDING_FACTOR = 8.0
+_SERIES_ROUNDING_BLOCKS = 4.0 * _BLOCK
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def _hyp2f1_series(
     return values, tail, k + 1
 
 
-def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, float, int]:
+def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
     """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, for 0 <= v <= 0.75, by the
     connection formula (Abramowitz & Stegun 15.3.6):
 
@@ -206,9 +208,10 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, fl
     arguments are formed from alpha and integers, never from b.  Needs
     1 + 2b off the integers (alpha != 1, 2), except where v = 0.
 
-    Returns (values, error estimate, terms used).  The estimate is the
-    worst over the array of |G1| tail1 + |G2| v^(1+2b) tail2 plus the
-    rounding term c eps (|G1 F1| + (1 + |x|) |G2 v^(1+2b) F2|), with
+    Returns (values, error estimates, terms used).  The estimate at each
+    point is |G1| tail1 + |G2| v^(1+2b) tail2, with each family's worst
+    tail over the array, plus the rounding term
+    c eps (|G1 F1| + (1 + |x|) |G2 v^(1+2b) F2|), with
     x = (1+2b) ln v and c = 16.  It counts the cancellation of the two
     terms near alpha = 1, and the factor 1 + |x| the rounding of
     v^(1+2b) = exp(x).  c = 16 is twice the largest factor (7.6) that a
@@ -218,7 +221,7 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, fl
     m = 2 * n - 1                      # 1 + 2b = alpha - m
     g1 = gamma(alpha - m) / gamma(0.5 * alpha - (n - 1)) ** 2
     if not np.any(v):
-        return np.full_like(v, g1), _ROUNDING_FACTOR * _EPS * abs(g1), 1
+        return np.full_like(v, g1), np.full_like(v, _ROUNDING_FACTOR * _EPS * abs(g1)), 1
     b = 0.5 * alpha - n
     g2 = gamma(m - alpha) / gamma(n - 0.5 * alpha) ** 2
     f1, tail1, k1 = _hyp2f1_series(v, b, -2.0 * b, 1e-16)
@@ -229,8 +232,7 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, fl
     first = g1 * f1
     second = g2 * vpow * f2
     spread = np.abs(first) + (1.0 + np.abs(x)) * np.abs(second)
-    rounding = _ROUNDING_FACTOR * _EPS * float(np.max(spread))
-    err = abs(g1) * tail1 + abs(g2) * float(np.max(vpow)) * tail2 + rounding
+    err = abs(g1) * tail1 + abs(g2) * vpow * tail2 + _ROUNDING_FACTOR * _EPS * spread
     return first + second, err, k1 + k2
 
 
@@ -310,14 +312,17 @@ def mean_series(
     counts the terms of every series summed.
 
     On the power series the error estimate is the tail bound plus a
-    rounding term c eps value, c = 8, and the tail is summed to what
-    that term leaves of ``tol`` (it reserves c eps 2^alpha, since the
-    value is at most mean(1, alpha) <= 2^alpha).  c = 8 is about twice
-    the largest factor (4.6) that a scan of 9 200 points against mpmath
-    needed at tol 1e-12 and 1e-14 (0.05 <= alpha <= 5.5, half of the
-    points within 1e-1 of y = 1).  The factor grows with the number of
-    64-term blocks, as the block sums' rounding does: at tol 1e-15 and
-    40 000 terms it reaches 24.
+    rounding term c eps value, and the tail is summed to what c = 8
+    leaves of ``tol`` (it reserves 8 eps 2^alpha, since the value is at
+    most mean(1, alpha) <= 2^alpha).  The rounding grows with the number
+    B of 64-term blocks summed, so c = max(8, B/4).  A scan against
+    50-digit mpmath of 9 200 points at each of tol 1e-12, 1e-14 and
+    1e-15 (0.05 <= alpha <= 5.5, half of the points within 1e-1 to 1e-7
+    of y = 1; 25 962 of them on the power series) needed at most 2.3 at B = 1, 6.0 at B = 46, 11.2 at B = 140,
+    about sqrt(B) up to B = 500 and 0.05 B beyond, up to 379 at the
+    500 000-term cap (B = 7 815).  c is at least 1.6 times that
+    everywhere and 2.9 times from B = 64 on; 624 of the 9 200 points
+    at tol 1e-15 missed their estimate with c = 8, none with this c.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha)
@@ -333,7 +338,8 @@ def mean_series(
     # 1 + alpha rounds to a whole number: alpha = 1, or within an ulp of 1 or 2.
     near = v <= _CONNECTION_V_MAX and alpha < 2.0 and (v == 0.0 or 1.0 + alpha not in (2.0, 3.0))
     if near:
-        vals, bound, terms = _connection_sum(np.array([v]), alpha, 0)
+        vals, bounds, terms = _connection_sum(np.array([v]), alpha, 0)
+        bound = float(bounds[0])
     if not near or bound > _CONNECTION_SHARE * tol / scale:
         # Rounding is at most c eps times the value, which is at most
         # mean(1, alpha) <= 2^alpha: the tail gets the rest of tol, or half
@@ -343,8 +349,9 @@ def mean_series(
         vals, bound, used = binomial_series_mean(
             np.array([arg]), alpha, max(budget - reserve, 0.5 * budget))
         terms, path = terms + used, "power"
+        rounding = max(_SERIES_ROUNDING_FACTOR, used / _SERIES_ROUNDING_BLOCKS)
     value, bound = scale * float(vals[0]), scale * bound
-    estimate = bound + _SERIES_ROUNDING_FACTOR * _EPS * value if path == "power" else bound
+    estimate = bound + rounding * _EPS * value if path == "power" else bound
     return MeanResult(value, estimate, BACKEND_SERIES, terms), SeriesTruncation(terms, bound, path)
 
 

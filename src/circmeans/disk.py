@@ -54,9 +54,11 @@ _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
 # at 1e-9 the closed form is off by up to 5.7e-8 for u >= 1e-50 and
 # 3.5e-7 at u = 1e-300, the connection formula by up to 1.8e-7.
 _DEGENERATE_BAND = 1e-9
+# c eps, the closed form's rounding relative to its value.
+_AGM_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
-def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
+def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False):
     """Mean of |1 + t*zeta|^(alpha-2) at t = 1 - u, for 0 < u <= ~0.1.
 
     Evaluated by :func:`~circmeans.circle._connection_sum` at
@@ -76,18 +78,25 @@ def inner_mean_near_one(u: np.ndarray, alpha: float) -> np.ndarray:
     m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead, off by
     about |alpha - 1| ln(1/u) / 2 relative.  alpha = 2 returns 1
     identically.
+
+    With ``with_error``, returns (values, a bound on each value's error):
+    the connection formula's own estimate, or for the closed form
+    (|alpha - 1| ln(1/u) / 2 + c eps) times the value, c = 8.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size == 0:
-        return np.empty_like(u)
+        return (np.empty_like(u), np.empty_like(u)) if with_error else np.empty_like(u)
     if np.any((u <= 0.0) | (u > 0.5)):
         raise ValueError("near-one expansion requires 0 < u <= 0.5")
     alpha = check_alpha(alpha, upper=2.0)
     if alpha == 2.0:
-        return np.ones_like(u)
-    if abs(alpha - 1.0) <= _DEGENERATE_BAND:
-        return _inverse_agm(u)
-    return _connection_sum(u * (2.0 - u), alpha, 1)[0]
+        values, errors = np.ones_like(u), np.zeros_like(u)
+    elif abs(alpha - 1.0) <= _DEGENERATE_BAND:
+        values = _inverse_agm(u)
+        errors = (0.5 * abs(alpha - 1.0) * np.log(1.0 / u) + _AGM_ROUNDING) * values
+    else:
+        values, errors, _ = _connection_sum(u * (2.0 - u), alpha, 1)
+    return (values, errors) if with_error else values
 
 
 def _inverse_agm(u: np.ndarray) -> np.ndarray:
@@ -213,14 +222,21 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
 
         add_adaptive(0.0, r_star - dl, share)
 
-        def q_left(s: np.ndarray) -> np.ndarray:
-            return inner_mean_near_one(y * s, alpha) * _radial_weight(r_star - s)
+        # The flanks return each value with a bound on its error from the
+        # inner mean's own estimate, which the rule integrates alongside.
+        def q_left(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            m, m_err = inner_mean_near_one(y * s, alpha, with_error=True)
+            w = _radial_weight(r_star - s)
+            return m * w, m_err * w
 
         add_singular(q_left, dl, share)
 
-        def q_right(s: np.ndarray) -> np.ndarray:
+        def q_right(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             t = 1.0 + y * s
-            return t ** (alpha - 2.0) * inner_mean_near_one(y * s / t, alpha) * _radial_weight(r_star + s)
+            m, m_err = inner_mean_near_one(y * s / t, alpha, with_error=True)
+            scale = t ** (alpha - 2.0)
+            w = _radial_weight(r_star + s)
+            return scale * m * w, scale * m_err * w
 
         add_singular(q_right, dr, share)
         add_adaptive(r_star + dr, 1.0, share)

@@ -158,7 +158,10 @@ def integrate_tanhsinh_singular(
     """Integrate ``q`` over (0, width] with an s^(strength-1) endpoint.
 
     ``q`` receives exact distances ``s`` from the singular endpoint and
-    must be vectorized.  ``strength`` > 0 controls how far into the
+    must be vectorized.  It may return a pair (values, bounds on their
+    errors) instead of the values: the rule's sum of the bounds is then
+    added to the returned error estimate, after the ``tol`` check, which
+    judges the rule alone.  ``strength`` > 0 controls how far into the
     double-exponential tail the rule reaches before transformed terms
     drop below ~1e-16 relative.  The step is halved at most 12 times
     from h = 1/2.  Returns (value, error_estimate, evaluations); an
@@ -172,13 +175,13 @@ def integrate_tanhsinh_singular(
     # term is negligible, with a floor for the smooth part of q.
     t_max = max(3.2, math.asinh(38.0 / (math.pi * strength)))
 
-    def level_sum(h: float, only_odd: bool) -> tuple[float, int]:
+    def level_sum(h: float, only_odd: bool) -> tuple[float, float, int]:
         kmax = int(math.floor(t_max / h))
         ks = np.arange(-kmax, kmax + 1)
         if only_odd:
             ks = ks[ks % 2 != 0]
         if ks.size == 0:
-            return 0.0, 0
+            return 0.0, 0.0, 0
         tau = ks * h
         x = math.pi * np.sinh(tau)
         # d = 1/(1 + e^x) without overflow on either side; the weight
@@ -189,18 +192,22 @@ def integrate_tanhsinh_singular(
         s = width * d
         # d > 0 is not enough: width * d can underflow to 0.
         good = (s > 0.0) & (w > 0.0)
-        s = s[good]
-        vals = np.asarray(q(s), dtype=float)
-        return h * width * float(np.sum(w[good] * vals)), int(s.size)
+        s, w = s[good], w[good]
+        out = q(s)
+        vals, bounds = out if isinstance(out, tuple) else (out, None)
+        value = h * width * float(np.sum(w * np.asarray(vals, dtype=float)))
+        bound = 0.0 if bounds is None else h * width * float(np.dot(w, bounds))
+        return value, bound, int(s.size)
 
-    total, n_eval = level_sum(0.5, only_odd=False)
+    total, bound, n_eval = level_sum(0.5, only_odd=False)
     h = 0.5
     prev = math.inf
     for level in range(1, _TANHSINH_MAX_LEVEL + 1):
         h *= 0.5
-        add, ne = level_sum(h, only_odd=True)
+        add, add_bound, ne = level_sum(h, only_odd=True)
         n_eval += ne
         new_total = 0.5 * total + add
+        bound = 0.5 * bound + add_bound
         change = abs(new_total - total)
         if level >= 3 and change <= tol and abs(total - prev) <= 16.0 * tol:
             total, err = new_total, max(change, 1e-16 * abs(new_total))
@@ -214,4 +221,4 @@ def integrate_tanhsinh_singular(
             f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",
             best_estimate=total, error_estimate=err, work=n_eval,
         )
-    return total, err, n_eval
+    return total, err + bound, n_eval

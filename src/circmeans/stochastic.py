@@ -23,9 +23,9 @@ mechanisms:
   a path that exits is frozen in its slot (x = NaN) and the arrays are
   compacted by one boolean mask only once frozen slots exceed 1/16 of
   them.  Frozen slots still draw, and those draws are not path-steps.
-  Once at most 455 paths are live, at least 9 steps are drawn and taken
-  in one block of about 4096 increments, so the per-step call overhead
-  does not dominate the tail; the estimate reports its ``discarded``
+  Once at most 4096 paths are live, at least 2 steps are drawn and taken
+  in one block of about 8192 increments, so the per-step call overhead
+  is paid once a block; the estimate reports its ``discarded``
   paths and its ``path_steps``.  From n = 10000 on, the paths run in
   n // 5000 chunks (at most 16), chunk i from stream i of the seed, and
   the chunks run across worker processes forked for the call, one per
@@ -78,14 +78,18 @@ _TWO_PI_F32 = np.float32(2.0 * math.pi)
 
 # Elements drawn per block of steps in occupation_time_mc.  With k live
 # paths, b = _BLOCK_ELEMS // k steps are drawn and taken at once when b is
-# at least _MIN_BLOCK, so the fixed cost of a step's numpy calls (20-50 us)
-# is paid once a block, not once a step; that cost dominates once k falls
-# to a few hundred.  4096 float64 elements are 32 KB an array, so a block's
-# working arrays stay in cache: 8192 measured no faster.  numpy's cumsum
-# along the step axis costs 5-8 ns an element however few the rows, so
-# blocks of 2-8 steps cost more per increment than single steps.
-_BLOCK_ELEMS = 4096
-_MIN_BLOCK = 9
+# at least _MIN_BLOCK, so the fixed cost of a step's numpy calls (about 26
+# calls, 17-28 us) is paid once a block, not once a step: from 4096 live
+# paths down.  8192 float64 elements are 64 KB an array; 4096 and 16384
+# measured no faster, nor did freezing exited paths inside blocks instead
+# of compacting before each one.
+_BLOCK_ELEMS = 8192
+_MIN_BLOCK = 2
+# _running_sums adds one row at a time from this many columns up: 1.5 ns
+# an element at b = 2, k = 4096, where numpy's cumsum along the short step
+# axis costs 13.  The two are even at k = 192, b = 42 (4.7 ns); at k = 64,
+# b = 128 the loop's 128 calls cost 15 ns an element against cumsum's 4.5.
+_ROW_SUM_MIN = 256
 
 # occupation_time_mc runs its n paths in max(1, min(16, n // 5000))
 # chunks, each from its own stream of the seed.  Chunks of 5000 paths or
@@ -191,18 +195,24 @@ def _gaussian_increments(rng: np.random.Generator, k: int, dt: float) -> tuple[n
     np.sqrt(r, out=r)
     theta = rng.random(k, dtype=np.float32)
     theta *= _TWO_PI_F32
-    return r * np.cos(theta), r * np.sin(theta)
+    dx = r * np.cos(theta)
+    return dx, np.multiply(r, np.sin(theta), out=r)
 
 
 def _running_sums(start: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Rows start, start + rows[0], (start + rows[0]) + rows[1], ...
 
-    The sums that adding one row at a time forms, in that order.
+    The sums that adding one row at a time forms, in that order: by one
+    np.add a row from _ROW_SUM_MIN columns up, else by cumsum down the rows.
     """
     out = np.empty((rows.shape[0] + 1, start.size))
     out[0] = start
-    out[1:] = rows
-    np.cumsum(out, axis=0, out=out)
+    if start.size >= _ROW_SUM_MIN:
+        for j in range(rows.shape[0]):
+            np.add(out[j], rows[j], out=out[j + 1])
+    else:
+        out[1:] = rows
+        np.cumsum(out, axis=0, out=out)
     return out
 
 
@@ -256,10 +266,9 @@ def _occupation_chunk(y: float, alpha: float, dt: float, budget: int, seed: int,
                 x[out] = math.nan
                 frozen += out.size
             continue
-        # The block code gives the same numbers for single steps, but its
-        # running sums, exit-row search and fancy indexing made the four mc
-        # cross-check rows at n = 1e4 about 2.5x slower when it took the
-        # single steps at k > 2048, where most path-steps are.
+        # The block code gives the same numbers for single steps, but taking
+        # the steps at k > 4096 as one-step blocks, with exited paths frozen
+        # in place, made the four mc cross-check rows slower in 7 of 8 runs.
         b = min(budget - steps, _BLOCK_ELEMS // k)
         steps += b
         dx, dv = _gaussian_increments(rng, b * k, dt)
@@ -393,9 +402,9 @@ def occupation_time_mc(y: float, alpha: float, cfg: PathConfig, n: int) -> McEst
     every slot; a path that exits is frozen in its slot by x = NaN, which
     no later step moves back inside the disk, and one boolean mask drops
     the frozen slots once they exceed 1/16 of all slots, and before any
-    block.  With k live paths and b = 4096 // k >= 9, b steps (never past
+    block.  With k live paths and b = 8192 // k >= 2, b steps (never past
     the budget) are drawn in one call, step-major, and taken at once by
-    cumulative sums in the step loop's order; a path that exits inside a
+    running sums in the step loop's order; a path that exits inside a
     block stops there and the rest of its increments are dropped.  Paths
     that fail to exit within the step budget are discarded; more than 0.1%
     discards aborts the run.  The estimate reports ``discarded`` and

@@ -388,6 +388,15 @@ class TestMeanSeriesNearOne:
             if abs(y - 1.0) <= reach:
                 assert mean_series(y, alpha)[0].work <= 300, y
 
+    @pytest.mark.parametrize("y", [1.0001, 0.9999])
+    def test_rounding_term_grows_with_the_blocks(self, y):
+        # At tol 1e-15 the power series sums 45 443 terms, 710 blocks, and
+        # rounding takes 9.5 eps (y = 1.0001) and 15.6 eps (y = 0.9999) of
+        # the value beyond the tail: over the 8 eps that suits few blocks.
+        r, trunc = mean_series(y, 0.999, 1e-15)
+        assert trunc.path == "power" and r.work > 45_000
+        assert float(abs(r.value - mp_mean(y, 0.999))) <= r.error_estimate
+
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9])
     def test_gauss_sum_at_one(self, alpha):
         r, trunc = mean_series(1.0, alpha)

@@ -78,6 +78,18 @@ class TestInnerMean:
         assert math.isfinite(v1) and math.isfinite(v2)
         assert v2 / v1 == pytest.approx(10.0 ** (20 * 0.75), rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 5e-10, 1.0, 1.5])
+    def test_near_one_error_bounds_the_error(self, alpha):
+        # The connection formula's own estimate, or inside the degenerate
+        # band the closed form's |alpha - 1| ln(1/u) / 2 relative.
+        u = np.array([1e-17, 1e-10, 1e-5, 1e-3, 0.01, 0.1, 0.3, 0.5])
+        values, errors = inner_mean_near_one(u, alpha, with_error=True)
+        assert np.array_equal(values, inner_mean_near_one(u, alpha))
+        a = 1 - mp.mpf(alpha) / 2
+        for ui, v, e in zip(u, values, errors):
+            t = 1 - mp.mpf(ui)
+            assert abs(mp.mpf(v) - mp.hyp2f1(a, a, 1, t * t)) <= e, (ui, e)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             inner_mean(np.array([-0.1]), 1.0)
@@ -144,6 +156,22 @@ class TestAreaIntegralMean:
             yy, aa = mp.mpf(y), mp.mpf(alpha)
             ref = yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy))
         assert abs(a.value - float(ref)) <= a.error_estimate <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 5e-10])
+    @pytest.mark.parametrize("y", [1.5, 2.0, 8.0])
+    def test_flanks_count_the_inner_mean_error(self, y, alpha):
+        # Near alpha = 1 the inner mean's own error outweighs the rule's:
+        # at alpha = 1 - 1e-7, y = 8 the error is 3.3e-9, and the rules
+        # alone estimate 1.4e-9.  At |alpha - 1| = 1e-7 the connection
+        # formula's estimate, 3.1e-8 on an inner mean near 1, times
+        # alpha^2 y^2 = 64 and the flanks' radial weight (0.05) exceeds
+        # tol at y = 8: the estimate says the value is not certified there.
+        a = area_integral_mean(y, alpha, 1e-8)
+        yy, aa = mp.mpf(y), mp.mpf(alpha)
+        ref = yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy))
+        assert abs(mp.mpf(a.value) - ref) <= a.error_estimate
+        certified = y < 8.0 or abs(alpha - 1.0) < 1e-9
+        assert a.error_estimate <= (1e-8 if certified else 1e-7)
 
     def test_rejects_alpha_above_two(self):
         with pytest.raises(ValueError):

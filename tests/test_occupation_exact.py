@@ -20,7 +20,8 @@ import pytest
 import circmeans.stochastic as stochastic
 from circmeans.core import McEstimate, NumericalFailure, check_alpha, check_radius, rng_from_seed
 from circmeans.stochastic import (
-    _BLOCK_ELEMS, PathConfig, _gaussian_increments, occupation_time_mc, variance_flag)
+    _BLOCK_ELEMS, _MIN_BLOCK, _ROW_SUM_MIN, PathConfig, _gaussian_increments, _running_sums,
+    occupation_time_mc, variance_flag)
 
 
 def indexed_totals(y, alpha, cfg, n, stream=0, blocks=None):
@@ -42,9 +43,9 @@ def indexed_totals(y, alpha, cfg, n, stream=0, blocks=None):
     while steps < budget and not exited[slots].all():
         live = np.count_nonzero(~exited[slots])
         b = _BLOCK_ELEMS // live
-        if b >= 9 or (slots.size - live) * 16 > slots.size:
+        if b >= _MIN_BLOCK or (slots.size - live) * 16 > slots.size:
             slots = slots[~exited[slots]]
-        b = min(budget - steps, b) if b >= 9 else 1
+        b = min(budget - steps, b) if b >= _MIN_BLOCK else 1
         k = slots.size
         steps += b
         if blocks is not None:
@@ -128,6 +129,25 @@ class CountingGenerator:
         return out
 
 
+class TestRunningSums:
+    @pytest.mark.parametrize("b", [1, 2, 9, 40])
+    @pytest.mark.parametrize("k", [1, 3, _ROW_SUM_MIN - 1, _ROW_SUM_MIN, 2_000])
+    def test_bit_identical_to_adding_one_row_at_a_time(self, b, k):
+        # Both sides of the row-loop/cumsum switch, with frozen (NaN)
+        # columns in the start row and in the rows.
+        rng = np.random.default_rng(1000 * b + k)
+        start = rng.standard_normal(k)
+        rows = rng.standard_normal((b, k)) * 1e-3
+        start[::3] = math.nan
+        rows[:, 1::5] = math.nan
+        expected = [start]
+        for row in rows:
+            expected.append(np.add(expected[-1], row))
+        got = _running_sums(start, rows)
+        assert got.shape == (b + 1, k)
+        assert np.array_equal(got.view(np.uint64), np.array(expected).view(np.uint64))
+
+
 class TestLivePathLoopExact:
     @pytest.mark.parametrize("y, alpha", CASES)
     def test_cases_at_dt_1e3(self, y, alpha):
@@ -143,14 +163,14 @@ class TestLivePathLoopExact:
         assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, seed=2**63 + 5), 1_000)
 
     def test_accepted_discards(self):
-        # At seed 63, 4 of 5000 paths are still inside after 2335 steps,
+        # At seed 63, 4 of 5000 paths are still inside after 2700 steps,
         # under the limit of 5.
-        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2335, seed=63), 5_000)
+        est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2700, seed=63), 5_000)
         assert est.discarded == 4
 
     def test_budget_ends_inside_a_tail_block(self):
         # At seed 61 the budget of 2850 steps cuts the last block, of 2
-        # live paths, to 602 steps, and the last path exits inside it.
+        # live paths, to 782 steps, and the last path exits inside it.
         blocks = []
         est = assert_same_estimate(0.5, 1.5, PathConfig(dt=1e-3, max_steps=2850, seed=61), 1_000, blocks)
         last_b, last_k, last_live = blocks[-1]
@@ -160,18 +180,19 @@ class TestLivePathLoopExact:
         assert est.discarded == 0
 
     def test_budget_ends_with_frozen_slots(self, monkeypatch):
-        # At seed 61 the budget of 300 steps ends in the single steps, with
-        # exited paths still in their slots; only live paths are discarded.
+        # Single steps take more than _BLOCK_ELEMS // 2 live paths.  At
+        # seed 61 the budget of 200 steps ends in them, with exited paths
+        # still in their slots; only live paths are discarded.
         monkeypatch.setattr(stochastic, "_MAX_DISCARD_FRACTION", 1.0)
-        cfg = PathConfig(dt=1e-3, max_steps=300, seed=61)
+        cfg = PathConfig(dt=1e-3, max_steps=200, seed=61)
         blocks = []
-        new = occupation_time_mc(0.5, 1.5, cfg, 1_000)
-        old = indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000, blocks, max_discards=1_000)
+        new = occupation_time_mc(0.5, 1.5, cfg, 5_000)
+        old = indexed_occupation_time_mc(0.5, 1.5, cfg, 5_000, blocks, max_discards=5_000)
         assert fields(new) == fields(old)
         last_b, last_k, last_live = blocks[-1]
-        assert len(blocks) == 300 and last_b == 1
+        assert len(blocks) == 200 and last_b == 1
         assert last_k > last_live >= new.discarded
-        assert new.discarded == 1_000 - new.n == 691
+        assert new.discarded == 5_000 - new.n == 4_309
 
     def test_rejected_discards_same_message(self):
         # At seed 62, 3 of 1000 paths are still inside after 2350 steps; the limit is 1.
@@ -204,8 +225,8 @@ class TestChunksExact:
 
 class TestDiscardAndStepCounts:
     def test_one_discard_accepted_and_steps_counted(self, monkeypatch):
-        # At seed 61 exactly one of 1000 paths is still inside after 2500 steps.
-        cfg = PathConfig(dt=1e-3, max_steps=2500, seed=61)
+        # At seed 61 exactly one of 1000 paths is still inside after 2520 steps.
+        cfg = PathConfig(dt=1e-3, max_steps=2520, seed=61)
         oracle = indexed_occupation_time_mc(0.5, 1.5, cfg, 1_000)
         drawn = []
 
@@ -217,7 +238,7 @@ class TestDiscardAndStepCounts:
         est = occupation_time_mc(0.5, 1.5, cfg, 1_000)
         assert est.discarded == 1_000 - est.n == 1
         assert est.path_steps == oracle.path_steps
-        assert est.path_steps > 2500 * est.discarded
+        assert est.path_steps > 2520 * est.discarded
         # One uniform pair a step taken, plus the pairs drawn for frozen
         # slots and those dropped after exits inside a block.
         assert len(drawn) == 1

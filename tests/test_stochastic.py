@@ -193,6 +193,13 @@ class TestGaussianIncrements:
         dx, dv = draws
         assert abs(np.corrcoef(dx, dv)[0, 1]) < 5.0 / math.sqrt(self.N)
 
+    def test_values_of_the_box_muller_formula(self):
+        rng = rng_from_seed(7)
+        dx, dv = _gaussian_increments(rng_from_seed(7), 1_000, self.DT)
+        r = np.sqrt(-2.0 * self.DT * np.log(1.0 - rng.random(1_000)))
+        theta = rng.random(1_000, dtype=np.float32) * np.float32(2.0 * math.pi)
+        assert np.array_equal(dx, r * np.cos(theta)) and np.array_equal(dv, r * np.sin(theta))
+
     def test_extreme_uniforms(self):
         # U = 0 gives radius 0; U = 1 - 2^-53, the largest float64 uniform,
         # gives the tail cut sqrt(2 * 53 ln 2) = 8.57 sigma, not an infinity.
