@@ -21,8 +21,10 @@ independent routes are provided:
   Near the circle, where that series needs up to hundreds of thousands
   of terms, the z -> 1 - z connection formula
   (:func:`_connection_sum`, shared with :mod:`circmeans.disk`) takes
-  over: about 130 terms, Gauss's sum Gamma(1+alpha)/Gamma(1+alpha/2)^2
-  at y = 1, and an estimate of tails plus rounding.
+  over: its two families paired term by term, one form for every
+  0 < alpha < 2, at most 17 terms, Gauss's sum
+  Gamma(1+alpha)/Gamma(1+alpha/2)^2 at y = 1, and an estimate of tails
+  plus rounding.
 
 :func:`log_mean` evaluates the logarithmic mean int ln|1+y*zeta| dm,
 whose closed form max{0, ln y} follows from the classical Jensen
@@ -32,7 +34,9 @@ numerically.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gamma
 
 import numpy as np
@@ -62,6 +66,13 @@ _CONNECTION_V_MAX = 0.1
 _CONNECTION_SHARE = 0.25
 # c in the connection path's rounding term (see _connection_sum).
 _ROUNDING_FACTOR = 16.0
+# (p, B_(p+1)/(p (p+1))) of Stirling's series, and the x from which
+# _stirling_slope is used.
+_STIRLING = ((1, 1 / 12), (3, -1 / 360), (5, 1 / 1260), (7, -1 / 1680), (9, 1 / 1188))
+_STIRLING_FROM = 15
+# Rows of _connection_sum's coefficient table: its relative tail is about
+# 2^-56 after these many terms at v = 0.75.
+_PAIRED_TERMS = 140
 # c in the power series' rounding term c eps value (see mean_series): 8,
 # or a quarter of the number of _BLOCK-term blocks summed where that is more.
 _SERIES_ROUNDING_FACTOR = 8.0
@@ -73,9 +84,9 @@ class SeriesTruncation:
     """How the series backend stopped.
 
     terms_used  terms of every series summed
-    tail_bound  on the connection path, the omitted tails of both
-                families times their gamma prefactors plus a rounding
-                term; on the power series, a rigorous bound on the
+    tail_bound  on the connection path, the omitted tails of its two
+                paired sums times their factors plus a rounding term;
+                on the power series, a rigorous bound on the
                 omitted (all-nonnegative) tail, without the rounding
                 term that the result's error estimate adds
     path        "connection" or "power": the sum the value came from
@@ -119,6 +130,15 @@ def binomial_series_mean(
     bound is never underestimated; when ``max_terms`` is hit before the
     bound clears ``tol``, the honest bound is returned rather than
     raising.  ``max_terms`` must be an integer >= 1 (Python or numpy).
+
+    The coefficients come from one recurrence on the whole coefficient,
+    C(b, k)^2 = previous * (b + 1 - k)^2 / k^2 at b = beta/2, whose
+    factors for a block are formed as one array and multiplied up by one
+    sequential accumulate, the first factor taking the coefficient
+    carried over from the previous block.  Coefficient ratios are <= 1
+    from k = max(3, ceil|b| + 2) on, which is where the tail bound of
+    :func:`_power_sums` starts; at b > -0.45 the harmonic bound also
+    holds, which covers t = 1.
     """
     max_terms = _check_max_terms(max_terms)
     t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -128,112 +148,243 @@ def binomial_series_mean(
         raise ValueError(f"series requires exponent beta > -2, got {beta}")
     if np.any(t == 1.0) and beta <= -0.9:
         raise ValueError("series at t = 1 requires beta > -0.9")
-    return _hyp2f1_series(t * t, 0.5 * beta, 1.0, tol, max_terms)
+    b = 0.5 * beta
+    coeff = 1.0                        # C(b, k)^2 at the last k summed
 
-
-def _hyp2f1_series(
-    z: np.ndarray, b: float, c: float, tol: float, max_terms: int = _MAX_TERMS
-) -> tuple[np.ndarray, float, int]:
-    """Gauss series F(-b, -b; c; z) = sum_k C(b, k)^2 k!/(c)_k z^k, 0 <= z <= 1.
-
-    The package's one 2F1 summation, with one code path for every c.
-    Terms go _BLOCK at a time: the block's powers come from one
-    sequential product along the rows, and its coefficients from one
-    recurrence on the whole coefficient, C(b, k)^2 k!/(c)_k = previous
-    * (b + 1 - k)^2 / (k (c - 1 + k)), whose factors are formed as one
-    array and multiplied up by one sequential accumulate, the first
-    factor taking the coefficient carried over from the previous block.
-    The tail bound after each block is |last term| * z/(1 - z): it
-    assumes term ratios <= z in modulus from k = max(3, ceil|b| + 2) on,
-    and takes |coefficient| because the coefficients need not be
-    positive.  The ratios are <= z for c = 1, b > -1; for both families
-    of :func:`_connection_sum` at b = alpha/2 - 1 and for its second
-    family at b = alpha/2, at every k; and for its first family at
-    b = alpha/2, F(-alpha/2, -alpha/2; -alpha; v), from k = 3 on, since
-    (k - alpha/2)^2 <= (k + 1)(k - alpha) once k >= alpha + alpha^2/4.
-    That family's coefficients are negative for every k >= 1 when
-    alpha < 1.  At c = 1 and b > -0.45 the harmonic bound also holds,
-    which covers z = 1.  Returns (values, worst tail bound over the
-    array, terms used).
-    """
-    values = np.ones_like(z)          # k = 0 term
-    coeff = 1.0                        # C(b, k)^2 k!/(c)_k at current k
-    k = 0
-    k_min = max(3, int(math.ceil(abs(b))) + 2)
-    harmonic_ok = c == 1.0 and b > -0.45
-    geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
-    # Row i of a block's powers is steps[i, 0] * z[i]^j, j = 0..nblk-1,
-    # with steps[i, 0] = z[i]^(k+1) at the block start.
-    steps = np.repeat(z[:, None], _BLOCK, axis=1)
-    tail = math.inf
-    while k < max_terms:
-        nblk = min(_BLOCK, max_terms - k)
-        ks = np.arange(k + 1.0, k + 1.0 + nblk)
+    def coefficients(k: int, n: int) -> np.ndarray:
+        nonlocal coeff
+        ks = np.arange(k, k + n, dtype=float)
         f = b + 1.0 - ks
-        cs = f * f / (ks * (c - 1.0 + ks))
+        cs = f * f / (ks * ks)
         cs[0] *= coeff
         np.multiply.accumulate(cs, out=cs)
         coeff = cs[-1]
+        return cs
+
+    k_min = max(3, int(math.ceil(abs(b))) + 2)
+    values, tail, terms = _power_sums(
+        t * t, 1.0, coefficients, tol, max_terms, k_min, b if b > -0.45 else None)
+    return values, float(tail), terms
+
+
+def _power_sums(
+    z: np.ndarray,
+    c0: float | np.ndarray,
+    coefficients: Callable[[int, int], np.ndarray],
+    tol: float,
+    max_terms: int,
+    k_min: int,
+    harmonic_b: float | None = None,
+    block: int = _BLOCK,
+) -> tuple[np.ndarray, float | np.ndarray, int]:
+    """sum_k c_k z^k for 0 <= z <= 1: the package's one power-sum loop.
+
+    c0 is the k = 0 coefficient: a float for one sum, or an array of r
+    for r sums that share the powers, which then come back as the r
+    columns of the values.  ``coefficients(k, n)`` returns c_k ...
+    c_(k+n-1) (an array of n, or n by r).  Terms go ``block`` at a time
+    from k = 1, up to ``max_terms`` of them: the block's powers come from
+    one sequential product along the rows, and its sums from one matrix
+    product.  After each block from k = k_min on, the tail bound at each
+    point is |last term| * z/(1 - z), which holds where every coefficient
+    ratio |c_(j+1)/c_j| is <= 1 from the last term on; it takes
+    |coefficient|, so the coefficients need not be positive.  With
+    ``harmonic_b`` = b > -0.45 it is also capped by the harmonic bound
+    |last term| (k + 1)/(1 + 2b) of C(b, k)^2, which covers z = 1.  The
+    loop stops once the worst bound is <= ``tol``, or at a block whose
+    last coefficients are all zero (a terminating series).  Returns
+    (values, the worst tail bound over the points, one per sum, or inf
+    before k_min and 0 for a terminated series, terms used).
+    """
+    columns = isinstance(c0, np.ndarray)
+    values = c0
+    geo = np.where(z < 1.0, z / np.maximum(1.0 - z, 1e-300), np.inf)
+    if columns:
+        geo = geo[:, None]
+    tail = math.inf
+    # Row i of a block's powers is steps[i, 0] * z[i]^j, j = 0..nblk-1,
+    # with steps[i, 0] = z[i]^(k+1) at the block start.
+    steps = np.repeat(z[:, None], block, axis=1)
+    k = 0
+    while k < max_terms:
+        nblk = min(block, max_terms - k)
+        cs = coefficients(k + 1, nblk)
         powers = np.multiply.accumulate(steps[:, :nblk], axis=1)
         values = values + powers @ cs
-        steps[:, 0] = powers[:, -1] * z
         k += nblk
-        if coeff == 0.0:
-            # b is a non-negative integer: once a coefficient hits zero
-            # the recurrence keeps it zero, so the series has terminated.
+        if k < max_terms:
+            steps[:, 0] = powers[:, -1] * z
+        last = abs(cs[-1])
+        if not (last.any() if columns else last):
+            # Once a coefficient hits zero the recurrence keeps it zero,
+            # so the series has terminated.
             tail = 0.0
             break
         if k >= k_min:
-            last_term = abs(coeff) * powers[:, -1]
-            bound = last_term * geo
-            if harmonic_ok:
-                bound = np.minimum(bound, last_term * ((k + 1.0) / (1.0 + 2.0 * b)))
-            tail = float(np.max(bound))
-            if tail <= tol:
+            last_term = last * (powers[:, -1:] if columns else powers[:, -1])
+            bounds = last_term * geo
+            if harmonic_b is not None:
+                bounds = np.minimum(bounds, last_term * ((k + 1.0) / (1.0 + 2.0 * harmonic_b)))
+            tail = bounds.max(axis=0)
+            if tail.max() <= tol:
                 break
     return values, tail, k + 1
 
 
-def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, for 0 <= v <= 0.75, by the
-    connection formula (Abramowitz & Stegun 15.3.6):
+def _stirling_slope(x: float, e: float) -> float:
+    """(ln Gamma(x + e) - ln Gamma(x))/e for x >= 15, |e| <= 1: psi(x) at e = 0.
 
-        G1 F(-b, -b; -2b; v) + G2 v^(1+2b) F(1+b, 1+b; 2+2b; v),
-        G1 = Gamma(1+2b)/Gamma(1+b)^2,  G2 = Gamma(-1-2b)/Gamma(-b)^2.
+    Stirling's series ln Gamma(x) = (x - 1/2) ln x - x + ln(2 pi)/2
+    + sum_p B_(p+1)/(p (p+1) x^p), differenced in closed form, with
+    w = e/x: (x - 1/2) log1p(w)/e + ln(x + e) - 1 plus, for each p,
+    B_(p+1)/(p (p+1)) ((x + e)^(-p) - x^(-p))/e, where
+    (x + e)^(-p) - x^(-p) = x^(-p) expm1(-p log1p(w)).  Nothing cancels
+    as e -> 0.  The first omitted term is below 2e-16 at x = 15.
+    """
+    w = e / x
+    lw = math.log1p(w)
+    r = lw / w if w else 1.0
+    acc = (x - 0.5) / x * r + math.log(x + e) - 1.0
+    for p, c in _STIRLING:
+        s = -p * lw
+        acc -= c * p * x ** (-p - 1) * r * (math.expm1(s) / s if s else 1.0)
+    return acc
+
+
+@lru_cache(maxsize=32)
+def _paired_coefficients(alpha: float, n: int) -> tuple[float, np.ndarray, float]:
+    """What :func:`_connection_sum` needs of alpha and n alone: Gauss's sum
+    G (n = 0; 0 for n = 1), its read-only table of _PAIRED_TERMS rows
+    [(2n - 1) C_k q_k phi(eps q_k), C_k], and max_k |eps q_k|."""
+    eps = alpha - 1.0
+    # C_0; C_(k+1)/C_k = (k + a)^2/((k + b)(k + d)); q_k = sum w Lambda(x + k, e).
+    if n == 0:
+        gauss = gamma(1.0 + alpha) / gamma(1.0 + 0.5 * alpha) ** 2
+        c0, a, b, d = gauss * alpha * (2.0 - alpha) ** 2 / 32.0, 2.0 - 0.5 * alpha, 2.0 - alpha, 3.0
+        slopes = ((-1.0, 1.0, -eps), (-1.0, 3.0, eps), (1.0, 1.5, 0.5 * eps), (1.0, 1.5, -0.5 * eps))
+    else:
+        gauss = 0.0
+        c0, a, b, d = gamma(2.0 - alpha) / gamma(1.0 - 0.5 * alpha) ** 2, 0.5 * alpha, alpha, 1.0
+        slopes = ((1.0, alpha, -eps), (1.0, 1.0, -eps),
+                  (-1.0, 0.5 * alpha, -0.5 * eps), (-1.0, 0.5, -0.5 * eps))
+    ks = np.arange(_PAIRED_TERMS, dtype=float)
+    table = np.empty((_PAIRED_TERMS, 2))
+    table[0, 1] = c0
+    table[1:, 1] = (ks[:-1] + a) ** 2 / ((ks[:-1] + b) * (ks[:-1] + d))
+    np.multiply.accumulate(table[:, 1], out=table[:, 1])
+    w, x0, e = np.array(slopes).T
+    xk = x0[:, None] + ks
+    # The steps log1p(e/x)/e, which are 1/x at eps = 0.
+    steps = np.log1p(e[:, None] / xk) * (w / e)[:, None] if eps else w[:, None] / xk
+    walk = np.cumsum(steps.sum(axis=0))
+    stirling = sum(wi * _stirling_slope(xi + _STIRLING_FROM, ei) for wi, xi, ei in slopes)
+    q = np.empty(_PAIRED_TERMS)
+    q[0] = 0.0
+    q[1:] = walk[:-1]
+    q += stirling - walk[_STIRLING_FROM - 1]
+    eq = eps * q
+    qa = np.expm1(eq) / eps if eps else q                    # q phi(eps q)
+    np.multiply(table[:, 1], (2 * n - 1) * qa, out=table[:, 0])
+    table.flags.writeable = False
+    return gauss, table, float(np.abs(eq).max())
+
+
+def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, n in {0, 1}, for
+    0 < v <= 0.75 (or every v = 0) and 0 < alpha < 2: the z -> 1 - z
+    connection formula (A&S 15.3.6) with its two families paired term by
+    term, uniform in eps = alpha - 1.
 
     n = 0 gives the mean of |1 + t*zeta|^alpha and n = 1 the mean at
     exponent alpha - 2 (the inner mean of :mod:`circmeans.disk`), both at
-    t^2 = 1 - v.  Where v = 0 the value is Gauss's sum G1.  Each family
-    goes through :func:`_hyp2f1_series` to a 1e-16 tail.  The gamma
-    arguments are formed from alpha and integers, never from b.  Needs
-    1 + 2b off the integers (alpha != 1, 2), except where v = 0.
+    t^2 = 1 - v.  Where every v is 0 the value is Gauss's sum
+    Gamma(1 + alpha - 2n)/Gamma(1 + alpha/2 - n)^2 (alpha > 1 for n = 1).
+
+    The two families of A&S 15.3.6 carry gamma prefactors with poles
+    where c - a - b = alpha + 1 - 2n is the integer m = 2 - 2n, so near
+    alpha = 1 they cancel.  Pairing family-1 term k + m with family-2
+    term k (Forrey 1997, J. Comput. Phys. 137:79; Michel & Stoitsov 2008,
+    Comput. Phys. Commun. 178:535) turns each pair into divided
+    differences in eps.  With L = ln v, phi(x) = expm1(x)/x and
+    Lambda(x, e) = (ln Gamma(x + e) - ln Gamma(x))/e:
+
+        n = 1:  sum_k v^k C_k [q_k phi(eps q_k) - L phi(eps L)],
+                C_0 = Gamma(2 - alpha)/Gamma(1 - alpha/2)^2,
+                C_(k+1)/C_k = (k + alpha/2)^2 / ((k + alpha)(k + 1)),
+                q_k = Lambda(k+1, eps) + Lambda(k+1, -eps)
+                      - Lambda(k+1/2, eps/2) - Lambda(k+1/2, -eps/2);
+        n = 0:  G (1 - alpha v/4)
+                - v^2 sum_k v^k C_k [q_k phi(eps q_k) v^eps + L phi(eps L)],
+                G = Gamma(1 + alpha)/Gamma(1 + alpha/2)^2 (Gauss's sum),
+                C_0 = G alpha (2 - alpha)^2 / 32,
+                C_(k+1)/C_k = (k + 2 - alpha/2)^2 / ((k + 2 - alpha)(k + 3)),
+                q_k = -Lambda(k+1, -eps) - Lambda(k+3, eps)
+                      + Lambda(k+3/2, eps/2) + Lambda(k+3/2, -eps/2).
+
+    At eps = 0 these are A&S 15.3.10 and 15.3.11 (m = 2).  Neither has
+    a pole on 0 < alpha < 2.  Each q_k is the Stirling value
+    (:func:`_stirling_slope`) at k = 15 plus or minus the steps
+    Lambda(x + 1, e) - Lambda(x, e) = log1p(e/x)/e between, which are
+    also what carries q_k from k to k + 1.  Those steps and the divided
+    differences expm1(eps y)/eps = y phi(eps y) keep full relative
+    accuracy however small eps is, and are 1/x and y at eps = 0, so
+    nothing cancels and nothing has a pole.  For n = 1, Lambda(k+1, eps)
+    and Lambda(k+1/2, eps/2) are taken as Lambda(k + alpha, -eps) and
+    Lambda(k + alpha/2, -eps/2) (Lambda(x, e) = Lambda(x + e, -e)), so
+    that no x + e near 0 is formed from eps, which rounds for small
+    alpha.  The two sums of C_k q_k phi(eps q_k) and of C_k go through
+    :func:`_power_sums` together, to a relative tail of about 2^-56 at
+    the largest v: at most 17 terms where v <= 0.1, 140 at v = 0.75.
+
+    Tails.  Every term ratio is at most v from k = 3 on, so each sum's
+    omitted tail is at most its last term times v/(1 - v):
+    * n = 1: C_(k+1)/C_k < 1 at every k, as
+      (k + 1)(k + alpha) - (k + alpha/2)^2 = k + alpha(4 - alpha)/4 > 0;
+      and q_(k+1) - q_k = 2 [atanh(eps/(k+1)) - 2 atanh(eps/(2k+1))]/eps,
+      which is -2 atanh(eps)/eps < 0 at k = 0 and, for k >= 1, by the
+      series atanh(w)/w = sum_i w^(2i)/(2i + 1), at most
+      2/(k+1) (1/(3k(k + 2)) - 1/(2k + 1)) < 0.  So q_k falls to its
+      limit 0: q_k > 0, and q phi(eps q) = expm1(eps q)/eps falls with it.
+    * n = 0: C_(k+1)/C_k < 1 from k = 1 on, as
+      (k + 2 - alpha)(k + 3) - (k + 2 - alpha/2)^2
+      = k - 1 + (2 - alpha)(6 + alpha)/4;
+      and q_(k+1) - q_k has the sign of
+      2k^2 + 3k - (4k + 6) eps - (k + 2) eps^2, positive for k >= 3
+      (2k^2 - 2k - 8 > 0 at eps -> 1).  So from k = 3 on q_k rises to
+      its limit 0: q_k <= 0, and |q phi(eps q)| falls.  Below k = 3,
+      q_k can be positive (q_0 from alpha ~ 1.4 on).
 
     Returns (values, error estimates, terms used).  The estimate at each
-    point is |G1| tail1 + |G2| v^(1+2b) tail2, with each family's worst
-    tail over the array, plus the rounding term
-    c eps (|G1 F1| + (1 + |x|) |G2 v^(1+2b) F2|), with
-    x = (1+2b) ln v and c = 16.  It counts the cancellation of the two
-    terms near alpha = 1, and the factor 1 + |x| the rounding of
-    v^(1+2b) = exp(x).  c = 16 is twice the largest factor (7.6) that a
-    scan of the mean against mpmath needed, over 4000 points with
-    v <= 0.1, most of them within 1e-1 to 1e-16 of alpha = 1.
+    point is the two sums' worst tails over the array times their
+    factors there, plus the rounding
+    term c eps (|G (1 - alpha v/4)| + (1 + max_k |eps q_k| + |x| [n = 0])
+    |first sum's part| + (1 + |x|) |second sum's part|), x = eps L, with
+    each part weighted by the conditioning of the exponentials in it:
+    v^eps = exp(x) and exp(eps q_k).  A scan against mpmath sized c
+    (see _ROUNDING_FACTOR).
     """
-    m = 2 * n - 1                      # 1 + 2b = alpha - m
-    g1 = gamma(alpha - m) / gamma(0.5 * alpha - (n - 1)) ** 2
-    if not np.any(v):
-        return np.full_like(v, g1), np.full_like(v, _ROUNDING_FACTOR * _EPS * abs(g1)), 1
-    b = 0.5 * alpha - n
-    g2 = gamma(m - alpha) / gamma(n - 0.5 * alpha) ** 2
-    f1, tail1, k1 = _hyp2f1_series(v, b, -2.0 * b, 1e-16)
-    f2, tail2, k2 = _hyp2f1_series(v, -1.0 - b, 2.0 + 2.0 * b, 1e-16)
-    # v^(1+2b) via exp/log: v can be ~1e-300 while the power is huge.
-    x = (alpha - m) * np.log(v)
-    vpow = np.exp(x)
-    first = g1 * f1
-    second = g2 * vpow * f2
-    spread = np.abs(first) + (1.0 + np.abs(x)) * np.abs(second)
-    err = abs(g1) * tail1 + abs(g2) * vpow * tail2 + _ROUNDING_FACTOR * _EPS * spread
-    return first + second, err, k1 + k2
+    if not v.any():
+        gauss = gamma(1.0 + alpha - 2 * n) / gamma(1.0 + 0.5 * alpha - n) ** 2
+        return np.full_like(v, gauss), np.full_like(v, _ROUNDING_FACTOR * _EPS * abs(gauss)), 1
+    gauss, table, eq_max = _paired_coefficients(alpha, n)
+    vmax = float(v.max())
+    terms = min(_PAIRED_TERMS, max(4, math.ceil(math.log(2.0**-56 * (1.0 - vmax)) / math.log(vmax))))
+    # One block: the table is there in full, and the tail is needed once.
+    sums, tails, used = _power_sums(
+        v, table[0], lambda k, m: table[k:k + m], 0.0, terms - 1, 3, block=terms - 1)
+    eps = alpha - 1.0
+    ln_v = np.log(v)
+    x = eps * ln_v
+    lphi = np.expm1(x) / eps if eps else ln_v                # L phi(eps L)
+    if n == 0:
+        head, scale, vpow, x_cond = gauss * (1.0 - 0.25 * alpha * v), v * v, np.exp(x), np.abs(x)
+    else:
+        head, scale, vpow, x_cond = 0.0, 1.0, 1.0, 0.0
+    first, second = scale * vpow * sums[:, 0], scale * lphi * sums[:, 1]
+    spread = (abs(head) + (1.0 + eq_max + x_cond) * np.abs(first)
+              + (1.0 + np.abs(x)) * np.abs(second))
+    err = scale * (vpow * tails[0] + np.abs(lphi) * tails[1]) + _ROUNDING_FACTOR * _EPS * spread
+    return head + first - second, err, used
 
 
 def power_mean_integral(y: float, p: float, tol: float) -> tuple[float, float, int]:
@@ -300,12 +451,17 @@ def mean_series(
     For y > 1 the inversion identity mean(y) = y^alpha * mean(1/y) maps
     the evaluation into the unit disk of convergence, at t = 1/y; for
     y <= 1, t = y.  Where v = 1 - t^2 = u(2 - u), u = 1 - t, is at most
-    0.1, :func:`_connection_sum` at b = alpha/2 is tried first: about
-    130 terms, and Gauss's sum Gamma(1+alpha)/Gamma(1+alpha/2)^2 at
-    y = 1.  Its value is taken when its error estimate (tails plus
-    rounding) is at most a quarter of ``tol``.  Otherwise, and always
-    at alpha = 2 (a terminating polynomial), at alpha >= 2 and at
-    alpha = 1 off y = 1 (a gamma pole), the power series is summed.
+    0.1, :func:`_connection_sum` at b = alpha/2 is tried first: at most
+    17 terms, and Gauss's sum Gamma(1+alpha)/Gamma(1+alpha/2)^2 at
+    y = 1, which is always taken.  Off y = 1 its value is taken when its
+    error estimate (tails plus rounding) is at most a quarter of
+    ``tol``.  Otherwise, and always at alpha >= 2 (alpha = 2 is a
+    terminating polynomial), the power series is summed.  So is
+    alpha = 1 off y = 1 (with the alphas within an ulp of 1, where
+    1 + alpha rounds to 2): the connection formula has no pole there,
+    but the power series that these points take, 85k-196k terms each
+    in the benchmark's near-circle rows, is kept until the benchmark's
+    peak-memory reading stops growing with its pass count.
     There the series converges slowly close to the circle; the returned
     truncation carries the honest (possibly large) tail bound instead
     of failing.  Each series summed stops at 500 000 terms.  ``work``
@@ -334,13 +490,12 @@ def mean_series(
         u = (y - 1.0) / y
     v = u * (2.0 - u)
     terms, path = 0, "connection"
-    # Off v = 0 the formula needs Gamma(-1 - alpha), whose poles are where
-    # 1 + alpha rounds to a whole number: alpha = 1, or within an ulp of 1 or 2.
-    near = v <= _CONNECTION_V_MAX and alpha < 2.0 and (v == 0.0 or 1.0 + alpha not in (2.0, 3.0))
+    # alpha = 1 off the circle stays on the power series (see above).
+    near = v <= _CONNECTION_V_MAX and alpha < 2.0 and (v == 0.0 or 1.0 + alpha != 2.0)
     if near:
         vals, bounds, terms = _connection_sum(np.array([v]), alpha, 0)
         bound = float(bounds[0])
-    if not near or bound > _CONNECTION_SHARE * tol / scale:
+    if not near or (v > 0.0 and bound > _CONNECTION_SHARE * tol / scale):
         # Rounding is at most c eps times the value, which is at most
         # mean(1, alpha) <= 2^alpha: the tail gets the rest of tol, or half
         # of it where rounding could take more.

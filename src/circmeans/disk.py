@@ -19,7 +19,10 @@ Numerical structure of the radial integrand:
   handled by a tanh-sinh rule parameterized by the exact distance
   s = |r - 1/y| (at y = 1 only the left flank is non-empty), and m near
   t = 1 is evaluated from the hypergeometric connection expansion in
-  u = |1 - t| directly, so no accuracy is lost to forming 1 - t.
+  u = |1 - t| directly, so no accuracy is lost to forming 1 - t.  Its
+  two families are paired term by term, one form for every
+  0 < alpha < 2, so nothing cancels near alpha = 1 and the value's own
+  error bound, which the flanks integrate, stays at the rounding level.
 
 :func:`radial_integral_lower` evaluates the closed form of the same
 radial integral with m replaced by its pointwise lower bound
@@ -48,18 +51,10 @@ from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 # above, connection expansion in the ring around t = 1.
 _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
-# |alpha - 1| up to this uses the alpha = 1 closed form.  A scan against
-# mpmath over u in [1e-300, 0.5] puts the crossover of the two values'
-# worst relative errors at |alpha - 1| = 6e-10 (2.2e-9 for u >= 1e-50);
-# at 1e-9 the closed form is off by up to 5.7e-8 for u >= 1e-50 and
-# 3.5e-7 at u = 1e-300, the connection formula by up to 1.8e-7.
-_DEGENERATE_BAND = 1e-9
-# c eps, the closed form's rounding relative to its value.
-_AGM_ROUNDING = 8.0 * float(np.finfo(float).eps)
 
 
 def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False):
-    """Mean of |1 + t*zeta|^(alpha-2) at t = 1 - u, for 0 < u <= ~0.1.
+    """Mean of |1 + t*zeta|^(alpha-2) at t = 1 - u, for 0 < u <= 0.5.
 
     Evaluated by :func:`~circmeans.circle._connection_sum` at
     b = alpha/2 - 1, the connection expansion of the Gauss
@@ -69,19 +64,15 @@ def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False
         m = G1 * F(a, a; 2a; v) + G2 * v^(alpha-1) * F(1-a, 1-a; 2-2a; v)
 
     where G1 = Gamma(alpha-1)/Gamma(alpha/2)^2 and
-    G2 = Gamma(1-alpha)/Gamma(1-alpha/2)^2.  The expansion takes u
-    directly, so radii within 1e-300 of the circle are handled without
-    forming 1 - u.  Its two gamma prefactors blow up like 1/|alpha - 1|,
-    and the cancellation between the families costs up to about
-    3e-16/|alpha - 1| relative.  For |alpha - 1| <= 1e-9, about where
-    that cost passes the closed form's error, the alpha = 1 closed form
-    m = 1/AGM(1 + t, 1 - t) = 1/AGM(2 - u, u) is used instead, off by
-    about |alpha - 1| ln(1/u) / 2 relative.  alpha = 2 returns 1
-    identically.
+    G2 = Gamma(1-alpha)/Gamma(1-alpha/2)^2.  The two prefactors have
+    poles at alpha = 1, so the families are summed paired term by term
+    in divided differences in alpha - 1, one form for every
+    0 < alpha < 2 (alpha = 1 included, where it is A&S 15.3.10).  The
+    expansion takes u directly, so radii within 1e-300 of the circle are
+    handled without forming 1 - u.  alpha = 2 returns 1 identically.
 
     With ``with_error``, returns (values, a bound on each value's error):
-    the connection formula's own estimate, or for the closed form
-    (|alpha - 1| ln(1/u) / 2 + c eps) times the value, c = 8.
+    the connection formula's own estimate of tails plus rounding.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size == 0:
@@ -91,33 +82,9 @@ def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False
     alpha = check_alpha(alpha, upper=2.0)
     if alpha == 2.0:
         values, errors = np.ones_like(u), np.zeros_like(u)
-    elif abs(alpha - 1.0) <= _DEGENERATE_BAND:
-        values = _inverse_agm(u)
-        errors = (0.5 * abs(alpha - 1.0) * np.log(1.0 / u) + _AGM_ROUNDING) * values
     else:
         values, errors, _ = _connection_sum(u * (2.0 - u), alpha, 1)
     return (values, errors) if with_error else values
-
-
-def _inverse_agm(u: np.ndarray) -> np.ndarray:
-    """1/AGM(2 - u, u), the alpha = 1 mean at t = 1 - u.
-
-    The relative gap (a - g)/a of the AGM steps falls to about gap^2/8
-    per step and shrinks faster the larger u is, so the step count is
-    found once, in scalars, on min(u), and the arrays then take that
-    many steps unchecked: one past the first gap below 1e-8, which
-    leaves a gap under 1e-16 (13 steps at u = 1e-300).
-    """
-    x = float(np.min(u))
-    a, g = 2.0 - x, x
-    steps = 1
-    while a - g > 1e-8 * a:
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
-        steps += 1
-    a, g = 2.0 - u, u
-    for _ in range(steps):
-        a, g = 0.5 * (a + g), np.sqrt(a * g)
-    return 1.0 / a
 
 
 def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:

@@ -365,9 +365,9 @@ class TestMeanSeriesNearOne:
     @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
     @pytest.mark.parametrize("y", CONNECTION_YS, ids=repr)
     def test_within_estimate_against_mpmath(self, y, alpha):
-        # Both paths' estimates count rounding.  On the power series (taken
-        # near alpha = 1 further from the circle) the truncation's bound is
-        # the tail alone, and the estimate adds the rounding term to it.
+        # Both paths' estimates count rounding.  On the power series the
+        # truncation's bound is the tail alone, and the estimate adds the
+        # rounding term to it.
         r, trunc = mean_series(y, alpha)
         ref = mp_mean(y, alpha)
         assert float(abs(r.value - ref)) <= r.error_estimate
@@ -380,13 +380,10 @@ class TestMeanSeriesNearOne:
     @pytest.mark.parametrize("alpha", CONNECTION_ALPHAS)
     def test_work_near_one(self, alpha):
         # The power series took 12k terms to its 500k cap within 1e-3 of
-        # y = 1.  Near alpha = 1 the connection formula's two terms cancel
-        # as v^2/|alpha - 1| grows, and the power series takes over again
-        # further from the circle, so there the guard stops at 1e-5.
-        reach = 1e-5 if abs(alpha - 1.0) < 0.1 else 0.05
+        # y = 1.  The paired connection sums need at most 17 terms where
+        # v <= 0.1, near alpha = 1 as elsewhere.
         for y in CONNECTION_YS:
-            if abs(y - 1.0) <= reach:
-                assert mean_series(y, alpha)[0].work <= 300, y
+            assert mean_series(y, alpha)[0].work <= 17, y
 
     @pytest.mark.parametrize("y", [1.0001, 0.9999])
     def test_rounding_term_grows_with_the_blocks(self, y):
@@ -403,9 +400,20 @@ class TestMeanSeriesNearOne:
         assert float(abs(r.value - mp_mean(1.0, alpha))) <= r.error_estimate and r.work == 1
         assert trunc.path == "connection"
 
+    @pytest.mark.parametrize("tol", [1e-14, 1e-15])
+    def test_gauss_sum_at_one_for_every_tol(self, tol):
+        # Gauss's sum is the answer on the circle whatever tol asks: its
+        # estimate, 16 eps G, is the rounding of two gamma values.  The
+        # power series took 500 002 terms here and reported 6.0e-10.
+        r, trunc = mean_series(1.0, 0.05, tol)
+        assert trunc.path == "connection" and r.work == 1
+        assert r.error_estimate <= 3.6e-15
+        assert float(abs(r.value - mp_mean(1.0, 0.05))) <= r.error_estimate
+
     def test_alpha_one_off_the_circle_sums_the_power_series(self):
-        # Gamma(-1 - alpha) has a pole at alpha = 1 (and where 1 + alpha
-        # rounds to 2); those points keep the power series.
+        # alpha = 1, and the alphas where 1 + alpha rounds to 2, keep the
+        # power series off the circle, although the connection formula
+        # has no pole there.
         for alpha in (1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)):
             r, trunc = mean_series(1.0 - 1e-6, alpha)
             assert trunc.path == "power"

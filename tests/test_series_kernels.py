@@ -1,11 +1,13 @@
-"""The block-vectorised 2F1 series kernel against its term-by-term loops,
-and the near-circle inner means against mpmath.
+"""The block-vectorised power-sum kernel against its term-by-term loops,
+and the near-circle connection sums against mpmath.
 
 The loop version below does the kernel's per-term work one term at a
-time, for c = 1 and c != 1 alike: the coefficient recurrence the kernel
-runs as one accumulate per block runs here as a Python loop.  The
-arithmetic is meant to be the same operation for operation, so values,
-tail bounds and term counts must be equal, not merely close.
+time, for the Gauss series F(-b, -b; c; z) at c = 1 (the binomial
+series) and at c != 1 (coefficients of either sign, fed to the kernel by
+:func:`hyp2f1_series`): the coefficient recurrence the kernel runs as one
+accumulate per block runs here as a Python loop.  The arithmetic is
+meant to be the same operation for operation, so values, tail bounds and
+term counts must be equal, not merely close.
 """
 import math
 import os
@@ -16,9 +18,12 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import circmeans
-from circmeans.circle import _hyp2f1_series, binomial_series_mean
+from circmeans import circle
+from circmeans.circle import _connection_sum, _power_sums, binomial_series_mean
 from circmeans.disk import inner_mean_near_one
 
 EPS = np.finfo(float).eps
@@ -59,6 +64,28 @@ def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
             if tail <= tol:
                 break
     return values, tail, k + 1
+
+
+def hyp2f1_series(z, b, c, tol, max_terms=500_000):
+    """F(-b, -b; c; z) through the package's power-sum kernel, with the
+    coefficient recurrence C(b, k)^2 k!/(c)_k = previous
+    * (b + 1 - k)^2 / (k (c - 1 + k)) run one block at a time."""
+    coeff = 1.0
+
+    def coefficients(k, n):
+        nonlocal coeff
+        ks = np.arange(k, k + n, dtype=float)
+        f = b + 1.0 - ks
+        cs = f * f / (ks * (c - 1.0 + ks))
+        cs[0] *= coeff
+        np.multiply.accumulate(cs, out=cs)
+        coeff = cs[-1]
+        return cs
+
+    k_min = max(3, int(math.ceil(abs(b))) + 2)
+    harmonic = b if c == 1.0 and b > -0.45 else None
+    values, tail, terms = _power_sums(z, 1.0, coefficients, tol, max_terms, k_min, harmonic)
+    return values, float(tail), terms
 
 
 def loop_binomial_series_mean(t, beta, tol, *, max_terms=500_000):
@@ -131,13 +158,15 @@ class TestBinomialSeriesExact:
 
 def _families(alpha):
     """(b, c) of F(a, a; 2a; v) and F(1-a, 1-a; 2-2a; v), a = 1 - alpha/2,
-    written as F(-b, -b; c; v)."""
+    written as F(-b, -b; c; v): the two families of the inner mean's
+    unpaired connection formula (A&S 15.3.6), test series whose
+    coefficients are of either sign."""
     a = 1.0 - 0.5 * alpha
     return [(-a, 2.0 * a), (a - 1.0, 2.0 - 2.0 * a)]
 
 
 def assert_same_hyp2f1(z, b, c, tol, **kw):
-    got = _hyp2f1_series(z, b, c, tol, **kw)
+    got = hyp2f1_series(z, b, c, tol, **kw)
     ref = loop_hyp2f1_series(z, b, c, tol, **kw)
     assert np.array_equal(got[0], ref[0])
     assert got[1] == ref[1]
@@ -177,27 +206,52 @@ class TestHypSeriesExact:
         for alpha in (0.02, 0.25, 1.5, 1.99):
             for b, c in _families(alpha):
                 assert_same_hyp2f1(v, b, c, 1e-16)
-                assert _hyp2f1_series(v, b, c, 1e-16)[0][0] == 1.0
+                assert hyp2f1_series(v, b, c, 1e-16)[0][0] == 1.0
 
 
 class TestSignedCoefficientTail:
-    """F(-alpha/2, -alpha/2; -alpha; v), the first family of the mean's
-    connection formula: for alpha < 1 every coefficient from k = 1 on is
-    negative, and for 1 < alpha < 2 the first is.  The tail bound must
-    take |coefficient|, or it comes out negative and passes any tol."""
+    """F(-alpha/2, -alpha/2; -alpha; v) through the kernel: for alpha < 1
+    every coefficient from k = 1 on is negative, and for 1 < alpha < 2
+    the first is.  The kernel's tail bound must take |coefficient|, or it
+    comes out negative and passes any tol."""
 
     @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 0.9, 1.5, 1.9])
     @pytest.mark.parametrize("cap", [3, 10, 64])
     def test_tail_bounds_the_omitted_terms(self, alpha, cap):
         v = np.array([1e-3, 0.02, 0.1, 0.3, 0.6])
         b, c = 0.5 * alpha, -alpha
-        vals, tail, terms = _hyp2f1_series(v, b, c, 1e-300, max_terms=cap)
+        vals, tail, terms = hyp2f1_series(v, b, c, 1e-300, max_terms=cap)
         assert terms == cap + 1 and tail > 0.0
         with mp.workdps(40):
             for vi, got in zip(v, vals):
                 ref = mp.hyp2f1(-b, -b, c, mp.mpf(vi))
                 assert float(abs(got - ref)) <= tail + 4.0 * EPS * abs(float(ref)), (vi, got, tail)
         assert_same_hyp2f1(v, b, c, 1e-300, max_terms=cap)
+
+
+def mp_connection(v, alpha, n):
+    """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, with the digits to hold 1 - v.
+    At alpha = 1 the mean (n = 0) is (2/pi)(1 + t) E(4t/(1 + t)^2),
+    t = sqrt(1 - v), which mpmath evaluates far faster than its
+    degenerate hyp2f1 close to the circle."""
+    with mp.workdps(40 + max(0, int(-math.log10(v)))):
+        if alpha == 1.0 and n == 0:
+            t = mp.sqrt(1 - mp.mpf(v))
+            return 2 / mp.pi * (1 + t) * mp.ellipe(4 * t / (1 + t) ** 2)
+        a = mp.mpf(alpha) / 2 - n
+        return mp.hyp2f1(-a, -a, 1, 1 - mp.mpf(v))
+
+
+def mp_inner_mean(u, alpha):
+    """F(a, a; 1; t^2) at t = 1 - u, a = 1 - alpha/2, with the digits to hold
+    1 - u; at alpha = 1, 1/AGM(1 + t, 1 - t), which mpmath evaluates far
+    faster than its degenerate hyp2f1 close to the circle."""
+    with mp.workdps(40 + max(0, int(-math.log10(u)))):
+        if alpha == 1.0:
+            return 1 / mp.agm(2 - mp.mpf(u), mp.mpf(u))
+        a = 1 - mp.mpf(alpha) / 2
+        t = 1 - mp.mpf(u)
+        return mp.hyp2f1(a, a, 1, t * t)
 
 
 class TestNearOneAgainstMpmath:
@@ -207,7 +261,7 @@ class TestNearOneAgainstMpmath:
         u = np.array([1e-300, 1e-120, 1e-16, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5])
         v = u * (2.0 - u)
         for b, c in _families(alpha):
-            vals, tail, _ = _hyp2f1_series(v, b, c, 1e-16)
+            vals, tail, _ = hyp2f1_series(v, b, c, 1e-16)
             for vi, got in zip(v, vals):
                 ref = float(mp.hyp2f1(-b, -b, c, mp.mpf(vi)))
                 assert abs(got - ref) <= tail + 4.0 * EPS * ref, (alpha, b, c, vi)
@@ -225,49 +279,85 @@ class TestNearOneAgainstMpmath:
                 assert abs(g - ref) <= 4.0 * EPS * ref, ui
 
 
-class TestDegenerateBandAgainstMpmath:
-    """inner_mean_near_one inside the band |alpha - 1| <= 1e-9 and at
-    1e-7 to 1e-5 outside it.
-
-    Inside the band the alpha = 1 value stands in, so the error is that
-    value's first-order error in alpha: about |alpha - 1| ln(1/u) / 2
-    relative, 3.5e-7 at u = 1e-300 when |alpha - 1| = 1e-9.  Outside it
-    the two connection families cancel (their gamma prefactors grow like
-    1/|alpha - 1|), which costs up to about 3e-16/|alpha - 1| relative:
-    1.5e-9 at |alpha - 1| = 1e-7 and 1e-10 at 1e-6, where the alpha = 1
-    value would be off by up to 3.5e-5 and 3.5e-4.  The band ends about
-    where the two errors cross; just outside it, at 1 +- 1e-9 (both
-    outside in floating point), the connection formula is within 1.8e-7.
+class TestInnerMeanNearAlphaOne:
+    """inner_mean_near_one within 1e-10 to 1e-5 of alpha = 1, where the
+    two families of the unpaired connection formula cancel (their gamma
+    prefactors grow like 1/|alpha - 1|).  Paired term by term they do
+    not, so the only loss left is the conditioning of
+    v^(alpha - 1) = exp((alpha - 1) ln v): the relative error stays
+    within 1e-13 (1 + |alpha - 1| ln(1/u)) at every alpha and u.
     """
 
     U = np.array([1e-300, 1e-100, 1e-30, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3, 0.5])
 
-    @staticmethod
-    def reference(u, alpha):
-        # F(a, a; 1; t^2) at t = 1 - u, a = 1 - alpha/2, with enough
-        # digits to hold 1 - u.
-        with mp.workdps(40 - int(math.log10(u))):
-            a = 1 - mp.mpf(alpha) / 2
-            t = 1 - mp.mpf(u)
-            return mp.hyp2f1(a, a, 1, t * t)
-
-    def relative_errors(self, alpha):
-        got = inner_mean_near_one(self.U, alpha)
-        return [float(abs(g - self.reference(u, alpha)) / self.reference(u, alpha))
-                for u, g in zip(self.U, got)]
-
     @pytest.mark.parametrize("alpha", [1 + 1e-7, 1 - 1e-7, 1 + 1e-6, 1 - 1e-6,
                                        1 + 1e-10, 1 - 1e-10, 1 + 9e-10, 1 - 9e-10])
-    def test_in_and_at_the_band(self, alpha):
-        for u, rel in zip(self.U, self.relative_errors(alpha)):
-            assert rel <= abs(alpha - 1.0) * (1.0 + 0.5 * math.log(1.0 / u)), (alpha, u, rel)
-            if u >= 0.1:
-                assert rel <= 1e-6, (alpha, u, rel)
+    def test_close_to_alpha_one(self, alpha):
+        self.check(alpha)
 
     @pytest.mark.parametrize("alpha", [1 + 2e-6, 1 - 2e-6, 1 + 1e-5, 1 - 1e-5])
-    def test_just_outside_the_band(self, alpha):
-        for u, rel in zip(self.U, self.relative_errors(alpha)):
-            assert rel <= 1e-9, (alpha, u, rel)
+    def test_further_from_alpha_one(self, alpha):
+        self.check(alpha)
+
+    def check(self, alpha):
+        got, err = inner_mean_near_one(self.U, alpha, with_error=True)
+        for u, g, e in zip(self.U, got, err):
+            ref = mp_inner_mean(u, alpha)
+            rel = float(abs(g - ref) / ref)
+            assert rel <= 1e-13 * (1.0 + abs(alpha - 1.0) * math.log(1.0 / u)), (alpha, u, rel)
+            assert abs(g - ref) <= e, (alpha, u)
+
+
+_EXAMPLE_ALPHAS = [1.0, math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0), 1 - 1e-7, 1 + 1e-7,
+                   1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12, 0.02, 2 - 1e-9]
+
+
+def _pinned(test):
+    for alpha in _EXAMPLE_ALPHAS:
+        for u in (1e-300, 1e-17, 0.5):
+            test = example(u=u, alpha=alpha)(test)
+    return test
+
+
+class TestConnectionSumContract:
+    """Over 1e-3 <= alpha < 2 and 1e-300 <= u <= 0.5, the inner mean at
+    t = 1 - u and the mean at v = u(2 - u) lie within their error
+    estimates of mpmath.  (Below alpha = 1e-3 mpmath's hyp2f1 takes
+    seconds a point close to the circle.)"""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(u=st.floats(min_value=-300.0, max_value=math.log10(0.5)).map(lambda x: min(10.0**x, 0.5)),
+           alpha=st.floats(min_value=1e-3, max_value=2.0, exclude_max=True))
+    @_pinned
+    def test_within_estimate_of_mpmath(self, u, alpha):
+        m, m_err = inner_mean_near_one(np.array([u]), alpha, with_error=True)
+        assert abs(m[0] - mp_inner_mean(u, alpha)) <= m_err[0]
+        v = u * (2.0 - u)
+        mean, mean_err, _ = _connection_sum(np.array([v]), alpha, 0)
+        assert abs(mean[0] - mp_connection(v, alpha, 0)) <= mean_err[0]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1 - 1e-9, 1.0, 1.5, 1.9, 2 - 1e-9])
+    @pytest.mark.parametrize("cap", [3, 4, 10])
+    def test_capped_tail_bounds_the_omitted_terms(self, monkeypatch, cap, alpha, n):
+        # With the sums cut after term cap, the error is their omitted
+        # tails, which the estimate must bound: term ratios are at most v
+        # from k = 3 on.
+        full = circle._power_sums
+
+        def capped(z, c0, coefficients, tol, max_terms, *args, **kwargs):
+            return full(z, c0, coefficients, tol, min(max_terms, cap), *args, **kwargs)
+
+        v = np.array([1e-3, 0.02, 0.1, 0.3, 0.6])
+        full_err = _connection_sum(v, alpha, n)[1]
+        monkeypatch.setattr(circle, "_power_sums", capped)
+        got, err, terms = _connection_sum(v, alpha, n)
+        assert terms == cap + 1
+        for vi, g, e in zip(v, got, err):
+            gap = abs(g - mp_connection(vi, alpha, n))
+            assert gap <= e, (vi, gap, e)
+        # The estimate sees the cut.
+        assert err[-1] > full_err[-1]
 
 
 def test_package_import_leaves_scipy_out():

@@ -263,8 +263,8 @@ class TestOccupationTime:
 
 
 def _chunked_estimate():
-    """The n = 10000 estimate that TestChunkPool compares, at module level so
-    that a multiprocessing worker can run it."""
+    """The n = 10000 estimate that TestForkedChunkWorkers compares, at module
+    level so that a multiprocessing worker can run it."""
     return occupation_time_mc(0.5, 1.5, PathConfig(dt=1e-3, seed=91), 10_000)
 
 
@@ -278,7 +278,7 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-class TestChunkPool:
+class TestForkedChunkWorkers:
     """From n = 10000 on, occupation_time_mc runs its chunks on the caller and
     on workers forked for the call; the estimate must not depend on where
     they ran, and nothing may outlive the call.  Tests that need the workers
@@ -300,7 +300,7 @@ class TestChunkPool:
         monkeypatch.setattr(os, "fork", counted_fork)
         return calls
 
-    def test_pool_equals_in_process(self, monkeypatch, two_cpus, forks):
+    def test_forked_workers_equal_in_process(self, monkeypatch, two_cpus, forks):
         forked = _chunked_estimate()
         assert len(forks) == 1
         monkeypatch.setattr(stochastic, "_usable_cpus", lambda: 1)
@@ -330,7 +330,7 @@ class TestChunkPool:
                 child.kill()
                 child.join()
 
-    def test_forked_child_starts_its_own_pool(self, two_cpus, forks):
+    def test_forked_child_forks_its_own_workers(self, two_cpus, forks):
         # An os.fork() child forks workers of its own.
         expected = _chunked_estimate()
         read_end, write_end = os.pipe()
@@ -375,7 +375,7 @@ class TestChunkPool:
         assert done.stderr == ""
         assert done.stdout.strip() == repr(_chunked_estimate())
 
-    def test_broken_pool_replaced_on_next_call(self, monkeypatch, two_cpus):
+    def test_call_after_a_dead_worker_starts_afresh(self, monkeypatch, two_cpus):
         # A worker that dies without reporting fails the call, and the
         # next call starts afresh.
         expected = _chunked_estimate()
