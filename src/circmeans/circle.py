@@ -142,11 +142,11 @@ def binomial_series_mean(
     """
     max_terms = _check_max_terms(max_terms)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any((t < 0.0) | (t > 1.0)):
+    if ((t < 0.0) | (t > 1.0)).any():
         raise ValueError("series domain is 0 <= t <= 1")
     if beta <= -2.0:
         raise ValueError(f"series requires exponent beta > -2, got {beta}")
-    if np.any(t == 1.0) and beta <= -0.9:
+    if (t == 1.0).any() and beta <= -0.9:
         raise ValueError("series at t = 1 requires beta > -0.9")
     b = 0.5 * beta
     coeff = 1.0                        # C(b, k)^2 at the last k summed
@@ -217,8 +217,8 @@ def _power_sums(
         last = abs(cs[-1])
         if not (last.any() if columns else last):
             # Once a coefficient hits zero the recurrence keeps it zero,
-            # so the series has terminated.
-            tail = 0.0
+            # so the series has terminated: no tail, for each sum.
+            tail = last
             break
         if k >= k_min:
             last_term = last * (powers[:, -1:] if columns else powers[:, -1])
@@ -285,6 +285,10 @@ def _paired_coefficients(alpha: float, n: int) -> tuple[float, np.ndarray, float
     eq = eps * q
     qa = np.expm1(eq) / eps if eps else q                    # q phi(eps q)
     np.multiply(table[:, 1], (2 * n - 1) * qa, out=table[:, 0])
+    if not np.isfinite(table).all():
+        # n = 1 below the smallest normal alpha: the step log1p(e/x) at
+        # x = alpha overflows.
+        raise NumericalFailure(f"connection coefficients overflow at alpha = {alpha!r}")
     table.flags.writeable = False
     return gauss, table, float(np.abs(eq).max())
 
@@ -456,7 +460,10 @@ def mean_series(
     y = 1, which is always taken.  Off y = 1 its value is taken when its
     error estimate (tails plus rounding) is at most a quarter of
     ``tol``.  Otherwise, and always at alpha >= 2 (alpha = 2 is a
-    terminating polynomial), the power series is summed.  So is
+    terminating polynomial), the power series is summed; where both were
+    summed, the value with the smaller estimate is returned (below
+    tol ~ 2e-14 the connection estimate can miss tol/4 while the power
+    series ends far worse near the circle).  So is
     alpha = 1 off y = 1 (with the alphas within an ulp of 1, where
     1 + alpha rounds to 2): the connection formula has no pole there,
     but the power series that these points take, 85k-196k terms each
@@ -501,10 +508,12 @@ def mean_series(
         # of it where rounding could take more.
         budget = tol / scale
         reserve = _SERIES_ROUNDING_FACTOR * _EPS * 2.0 ** min(alpha, 1000.0)
-        vals, bound, used = binomial_series_mean(
+        p_vals, p_bound, used = binomial_series_mean(
             np.array([arg]), alpha, max(budget - reserve, 0.5 * budget))
-        terms, path = terms + used, "power"
+        terms += used
         rounding = max(_SERIES_ROUNDING_FACTOR, used / _SERIES_ROUNDING_BLOCKS)
+        if not near or p_bound + rounding * _EPS * float(p_vals[0]) < bound:
+            vals, bound, path = p_vals, p_bound, "power"
     value, bound = scale * float(vals[0]), scale * bound
     estimate = bound + rounding * _EPS * value if path == "power" else bound
     return MeanResult(value, estimate, BACKEND_SERIES, terms), SeriesTruncation(terms, bound, path)

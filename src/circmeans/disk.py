@@ -41,6 +41,7 @@ from .circle import _connection_sum, binomial_series_mean
 from .core import (
     BACKEND_AREA_INTEGRAL,
     MeanResult,
+    NumericalFailure,
     check_alpha,
     check_radius,
     check_tol,
@@ -77,11 +78,11 @@ def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if u.size == 0:
         return (np.empty_like(u), np.empty_like(u)) if with_error else np.empty_like(u)
-    if np.any((u <= 0.0) | (u > 0.5)):
+    if ((u <= 0.0) | (u > 0.5)).any():
         raise ValueError("near-one expansion requires 0 < u <= 0.5")
     alpha = check_alpha(alpha, upper=2.0)
     if alpha == 2.0:
-        values, errors = np.ones_like(u), np.zeros_like(u)
+        values, errors = np.ones(u.shape), np.zeros(u.shape)
     else:
         values, errors, _ = _connection_sum(u * (2.0 - u), alpha, 1)
     return (values, errors) if with_error else values
@@ -101,16 +102,16 @@ def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     alpha = check_alpha(alpha, upper=2.0)
     beta = alpha - 2.0
-    if np.any(t < 0.0):
+    if (t < 0.0).any():
         raise ValueError("inner mean requires t >= 0")
     one = t == 1.0
-    if np.any(one) and alpha <= 1.0:
+    if one.any() and alpha <= 1.0:
         raise ValueError(f"inner mean diverges at radius t = 1 for alpha = {alpha} <= 1")
     outside = t > 1.0
-    scale = np.ones_like(t)
+    scale = np.ones(t.shape)
     inside = t.copy()
     dist = 1.0 - t
-    if np.any(outside):
+    if outside.any():
         to = t[outside]
         scale[outside] = to**beta
         inside[outside] = 1.0 / to
@@ -118,19 +119,19 @@ def inner_mean(t: np.ndarray, alpha: float) -> np.ndarray:
     ring = (t > _SERIES_CUTOFF) & (t < _NEAR_ONE_CUTOFF) & ~one
     series = ~ring & ~one
     out = np.empty_like(t)
-    if np.any(series):
+    if series.any():
         out[series], _, _ = binomial_series_mean(inside[series], beta, 1e-16)
-    if np.any(ring):
+    if ring.any():
         out[ring] = inner_mean_near_one(dist[ring], alpha)
-    if np.any(one):
-        out[one] = _connection_sum(np.zeros_like(t[one]), alpha, 1)[0]
+    if one.any():
+        out[one] = _connection_sum(np.zeros(t[one].shape), alpha, 1)[0]
     return scale * out
 
 
 def _radial_weight(r: np.ndarray) -> np.ndarray:
     """r * ln(1/r), continuously extended by 0 at r = 0."""
     r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
+    out = np.zeros(r.shape)
     pos = r > 0.0
     out[pos] = -r[pos] * np.log(r[pos])
     return out
@@ -147,6 +148,8 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     tanh-sinh rule in the exact distance from 1/y.  At y = 1 that point
     is the outer endpoint, so the right flank and the piece beyond it
     are empty and the split runs GK15 on [0, 7/8] and the left flank.
+    Raises :class:`~circmeans.core.NumericalFailure` where alpha - 2
+    rounds to -2 (alpha below about 2.2e-16) or alpha^2 y^2 underflows.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
@@ -155,6 +158,11 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
         return MeanResult(1.0, 0.0, BACKEND_AREA_INTEGRAL, 0)
 
     prefactor = alpha * alpha * y * y
+    if prefactor == 0.0 or alpha - 2.0 == -2.0:
+        # The route cannot see alpha (or y): alpha^2 y^2 underflows, or the
+        # inner exponent alpha - 2 rounds to -2, where the radial integral
+        # diverges for y >= 1.
+        raise NumericalFailure(f"area route cannot resolve alpha = {alpha!r} at y = {y!r}")
     rtol = max(tol / prefactor, 1e-13)
     work = [0]
 

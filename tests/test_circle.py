@@ -155,6 +155,11 @@ class TestBinomialSeriesCore:
     def test_rejects_bad_domain(self):
         with pytest.raises(ValueError):
             binomial_series_mean(np.array([1.2]), 1.0, 1e-10)
+        for t in ([-0.1], [0.5, -1e-300], [0.5, 1.2]):
+            with pytest.raises(ValueError):
+                binomial_series_mean(np.array(t), 1.0, 1e-10)
+        with pytest.raises(ValueError):
+            binomial_series_mean(np.array([0.5, 1.0]), -1.5, 1e-10)
         with pytest.raises(ValueError):
             binomial_series_mean(np.array([0.5]), -2.0, 1e-10)
         with pytest.raises(ValueError):
@@ -387,12 +392,34 @@ class TestMeanSeriesNearOne:
 
     @pytest.mark.parametrize("y", [1.0001, 0.9999])
     def test_rounding_term_grows_with_the_blocks(self, y):
-        # At tol 1e-15 the power series sums 45 443 terms, 710 blocks, and
-        # rounding takes 9.5 eps (y = 1.0001) and 15.6 eps (y = 0.9999) of
-        # the value beyond the tail: over the 8 eps that suits few blocks.
-        r, trunc = mean_series(y, 0.999, 1e-15)
+        # At tol 1e-15 the power series sums 45 313 terms, 709 blocks, and
+        # rounding takes 20.8 eps (y = 1.0001) and 8.0 eps (y = 0.9999) of
+        # the value beyond the tail: up to the 8 eps that suits few blocks
+        # and well over it.  alpha = 1 stays on the power series off y = 1.
+        r, trunc = mean_series(y, 1.0, 1e-15)
         assert trunc.path == "power" and r.work > 45_000
-        assert float(abs(r.value - mp_mean(y, 0.999))) <= r.error_estimate
+        assert float(abs(r.value - mp_mean(y, 1.0))) <= r.error_estimate
+
+    @pytest.mark.parametrize("y, alpha, tol", [
+        (1.00001, 0.5, 1e-14), (1.0001, 0.5, 1e-14), (0.99999, 0.5, 1e-14),
+        (1.0001, 0.999, 1e-15), (0.9999, 0.999, 1e-15)])
+    def test_smaller_estimate_wins_below_tol_2e_14(self, y, alpha, tol):
+        # The connection estimate (3.8e-15 and 4.5e-15 here) misses tol/4,
+        # so the power series is summed as well, and it ends far worse:
+        # 3.8e-13 after 396 933 terms at y = 1.00001, alpha = 0.5.  The
+        # connection value, with the smaller estimate, is returned.
+        r, trunc = mean_series(y, alpha, tol)
+        assert trunc.path == "connection" and r.work > 17
+        assert r.error_estimate <= 5e-15
+        assert float(abs(r.value - mp_mean(y, alpha))) <= r.error_estimate
+
+    @pytest.mark.parametrize("alpha", [1e-300, 1e-310, 5e-324])
+    @pytest.mark.parametrize("y", [1.00001, 0.99, 1.0])
+    def test_tiny_alpha(self, y, alpha):
+        # At 5e-324 every connection coefficient rounds to 0, which the
+        # power-sum loop read as a terminated series, and raised TypeError.
+        r, _ = mean_series(y, alpha)
+        assert float(abs(r.value - mp_mean(y, alpha))) <= r.error_estimate
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9])
     def test_gauss_sum_at_one(self, alpha):

@@ -8,6 +8,7 @@ from scipy.special import hyp2f1
 
 from circmeans.bounds import mid_bound
 from circmeans.circle import mean_quadrature
+from circmeans.core import NumericalFailure
 from circmeans.disk import (
     area_integral_mean,
     inner_mean,
@@ -93,9 +94,27 @@ class TestInnerMean:
         with pytest.raises(ValueError):
             inner_mean(np.array([-0.1]), 1.0)
         with pytest.raises(ValueError):
-            inner_mean_near_one(np.array([0.0]), 1.0)
-        with pytest.raises(ValueError):
-            inner_mean_near_one(np.array([0.7]), 1.0)
+            inner_mean(np.array([0.5, -0.1]), 1.0)
+        for u in ([0.0], [-1e-300], [0.7], [0.1, 0.0], [0.1, math.nextafter(0.5, 1.0)]):
+            with pytest.raises(ValueError):
+                inner_mean_near_one(np.array(u), 1.0)
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-300, 1e-310, 5e-324])
+    def test_near_one_tiny_alpha_within_estimate_or_numerical_failure(self, alpha):
+        # (alpha/2)^2 loses digits below alpha ~ 3e-154 and rounds to 0
+        # below 4e-162, and so do the coefficients after the first; for
+        # subnormal alpha the steps at x = alpha overflow.  1e-300 raised
+        # TypeError and 1e-310 returned NaN.  At 40 digits the mpmath
+        # value is 1/(u (2 - u)) here.
+        u = np.array([0.1, 1e-8])
+        try:
+            values, errors = inner_mean_near_one(u, alpha, with_error=True)
+        except NumericalFailure:
+            return
+        a = 1 - mp.mpf(alpha) / 2
+        for ui, v, e in zip(u, values, errors):
+            t = 1 - mp.mpf(ui)
+            assert abs(mp.mpf(v) - mp.hyp2f1(a, a, 1, t * t)) <= e, (ui, v, e)
 
 
 class TestAreaIntegralMean:
@@ -170,6 +189,20 @@ class TestAreaIntegralMean:
     def test_rejects_alpha_above_two(self):
         with pytest.raises(ValueError):
             area_integral_mean(0.5, 2.5)
+
+    @pytest.mark.parametrize("y, alpha", [(1.5, 1e-160), (1.5, 1e-200), (0.5, 1e-17),
+                                          (1e-200, 1.0), (1.5, 1e-310)])
+    def test_tiny_alpha_or_y_within_estimate_or_numerical_failure(self, y, alpha):
+        # alpha - 2 rounds to -2 below alpha ~ 2.2e-16 (ValueError from the
+        # series) and alpha^2 y^2 underflows to 0 (ZeroDivisionError).
+        try:
+            a = area_integral_mean(y, alpha)
+        except NumericalFailure:
+            return
+        yy, aa = mp.mpf(y), mp.mpf(alpha)
+        ref = (yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy)) if y > 1
+               else mp.hyp2f1(-aa / 2, -aa / 2, 1, yy * yy))
+        assert abs(mp.mpf(a.value) - ref) <= a.error_estimate
 
 
 class TestRadialIntegralLower:
