@@ -293,7 +293,9 @@ def _paired_coefficients(alpha: float, n: int) -> tuple[float, np.ndarray, float
     return gauss, table, float(np.abs(eq).max())
 
 
-def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _connection_sum(
+    v: np.ndarray, alpha: float, n: int, *, with_error: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, int]:
     """F(-b, -b; 1; 1 - v) at b = alpha/2 - n, n in {0, 1}, for
     0 < v <= 0.75 (or every v = 0) and 0 < alpha < 2: the z -> 1 - z
     connection formula (A&S 15.3.6) with its two families paired term by
@@ -358,7 +360,8 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np
       its limit 0: q_k <= 0, and |q phi(eps q)| falls.  Below k = 3,
       q_k can be positive (q_0 from alpha ~ 1.4 on).
 
-    Returns (values, error estimates, terms used).  The estimate at each
+    Returns (values, error estimates, terms used), with None for the
+    estimates when ``with_error`` is false.  The estimate at each
     point is the two sums' worst tails over the array times their
     factors there, plus the rounding
     term c eps (|G (1 - alpha v/4)| + (1 + max_k |eps q_k| + |x| [n = 0])
@@ -373,9 +376,10 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np
     gauss, table, eq_max = _paired_coefficients(alpha, n)
     vmax = float(v.max())
     terms = min(_PAIRED_TERMS, max(4, math.ceil(math.log(2.0**-56 * (1.0 - vmax)) / math.log(vmax))))
-    # One block: the table is there in full, and the tail is needed once.
-    sums, tails, used = _power_sums(
-        v, table[0], lambda k, m: table[k:k + m], 0.0, terms - 1, 3, block=terms - 1)
+    # One block: the table is there in full, and the tail is needed once
+    # (not at all without the estimate: k_min past the block skips it).
+    sums, tails, used = _power_sums(v, table[0], lambda k, m: table[k:k + m], 0.0, terms - 1,
+                                    3 if with_error else terms, block=terms - 1)
     eps = alpha - 1.0
     ln_v = np.log(v)
     x = eps * ln_v
@@ -385,9 +389,14 @@ def _connection_sum(v: np.ndarray, alpha: float, n: int) -> tuple[np.ndarray, np
     else:
         head, scale, vpow, x_cond = 0.0, 1.0, 1.0, 0.0
     first, second = scale * vpow * sums[:, 0], scale * lphi * sums[:, 1]
-    spread = (abs(head) + (1.0 + eq_max + x_cond) * np.abs(first)
-              + (1.0 + np.abs(x)) * np.abs(second))
-    err = scale * (vpow * tails[0] + np.abs(lphi) * tails[1]) + _ROUNDING_FACTOR * _EPS * spread
+    if not with_error:
+        return head + first - second, None, used
+    # c eps = 2^-48 scales each part exactly, before the conditioning
+    # factors, so the spread stays finite wherever the value is.
+    c_eps = _ROUNDING_FACTOR * _EPS
+    spread = (c_eps * abs(head) + (1.0 + eq_max + x_cond) * (c_eps * np.abs(first))
+              + (1.0 + np.abs(x)) * (c_eps * np.abs(second)))
+    err = scale * (vpow * tails[0] + np.abs(lphi) * tails[1]) + spread
     return head + first - second, err, used
 
 

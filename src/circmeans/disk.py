@@ -23,6 +23,8 @@ Numerical structure of the radial integrand:
   two families are paired term by term, one form for every
   0 < alpha < 2, so nothing cancels near alpha = 1 and the value's own
   error bound, which the flanks integrate, stays at the rounding level.
+* Beyond y = 8 a flank 1/8 wide would need m past u = 1/2, so the
+  route reflects there instead: mean(y) = y^alpha * mean(1/y).
 
 :func:`radial_integral_lower` evaluates the closed form of the same
 radial integral with m replaced by its pointwise lower bound
@@ -37,7 +39,7 @@ import math
 
 import numpy as np
 
-from .circle import _connection_sum, binomial_series_mean
+from .circle import _EPS, _connection_sum, binomial_series_mean, inversion_symmetry
 from .core import (
     BACKEND_AREA_INTEGRAL,
     MeanResult,
@@ -84,7 +86,7 @@ def inner_mean_near_one(u: np.ndarray, alpha: float, *, with_error: bool = False
     if alpha == 2.0:
         values, errors = np.ones(u.shape), np.zeros(u.shape)
     else:
-        values, errors, _ = _connection_sum(u * (2.0 - u), alpha, 1)
+        values, errors, _ = _connection_sum(u * (2.0 - u), alpha, 1, with_error=with_error)
     return (values, errors) if with_error else values
 
 
@@ -145,17 +147,34 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     which is what makes the cross-agreement of the two a meaningful
     check.  For y >= 1 the radial rule splits at r = 1/y, so the
     divergent inner radius is never sampled; the flanking pieces use a
-    tanh-sinh rule in the exact distance from 1/y.  At y = 1 that point
-    is the outer endpoint, so the right flank and the piece beyond it
-    are empty and the split runs GK15 on [0, 7/8] and the left flank.
-    Raises :class:`~circmeans.core.NumericalFailure` where alpha - 2
-    rounds to -2 (alpha below about 2.2e-16) or alpha^2 y^2 underflows.
+    tanh-sinh rule in the exact distance from 1/y, each at most 1/8
+    wide.  At y = 1 that point is the outer endpoint, so the right flank
+    and the piece beyond it are empty and the split runs GK15 on
+    [0, 7/8] and the left flank.  Beyond y = 8 the right flank would
+    need the inner mean at u = y s/(1 + y s) > 1/2, past its expansion,
+    so there the route reflects through the inversion identity
+    mean(y) = y^alpha * mean(1/y) (:func:`~circmeans.circle.inversion_symmetry`,
+    which the series backend uses too) and integrates at 1/y < 1/8 to
+    tol/y^alpha; up to y = 8 it stays independent of that identity.
+    The estimate adds 4 eps * value for the rounding of the final sum
+    (or product).  Raises :class:`~circmeans.core.NumericalFailure`,
+    with the best estimate of the mean where a rule failed, where
+    alpha - 2 rounds to -2 (alpha below about 2.2e-16), alpha^2 y^2
+    underflows, or, beyond y = 8, y^alpha overflows or tol/y^alpha
+    underflows; the message names the caller's y.
     """
     y = check_radius(y)
     alpha = check_alpha(alpha, upper=2.0)
     tol = check_tol(tol)
     if y == 0.0:
         return MeanResult(1.0, 0.0, BACKEND_AREA_INTEGRAL, 0)
+
+    r_star = 1.0 / y
+    # Flank widths: at most 1/8, and on the left at most half of r*.
+    dl = min(0.5 * r_star, 0.125)
+    dr = min(1.0 - r_star, 0.125)
+    if y * dr > 1.0:
+        return _reflected(y, alpha, tol)
 
     prefactor = alpha * alpha * y * y
     if prefactor == 0.0 or alpha - 2.0 == -2.0:
@@ -171,28 +190,34 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
         return inner_mean(y * r, alpha) * _radial_weight(r)
 
     pieces: list[tuple[float, float]] = []
+    failures: list[NumericalFailure] = []
 
     def add_adaptive(lo: float, hi: float, share: float) -> None:
         if hi - lo <= 0.0:
             return
-        v, e, _ = integrate_adaptive(g, lo, hi, share)
+        try:
+            v, e, _ = integrate_adaptive(g, lo, hi, share)
+        except NumericalFailure as exc:
+            v, e = exc.best_estimate, exc.error_estimate
+            failures.append(exc)
         pieces.append((v, e))
 
     def add_singular(q, width: float, share: float) -> None:
         if width <= 0.0:
             return
-        v, e, n = integrate_tanhsinh_singular(q, width, alpha, share)
+        try:
+            v, e, n = integrate_tanhsinh_singular(q, width, alpha, share)
+        except NumericalFailure as exc:
+            v, e, n = exc.best_estimate, exc.error_estimate, exc.work
+            failures.append(exc)
         work[0] += n
         pieces.append((v, e))
 
-    r_star = 1.0 / y
     if y < 1.0:
         # t = y r stays below 1; integrand analytic on (0, 1].
         add_adaptive(0.0, 1.0, rtol)
     else:
         # Split at r* = 1/y; at y = 1, dr = 0 leaves both right pieces empty.
-        dl = min(0.5 * r_star, 0.125)
-        dr = min(1.0 - r_star, 0.125)
         share = rtol / 4.0
 
         add_adaptive(0.0, r_star - dl, share)
@@ -219,7 +244,32 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     radial = math.fsum(p[0] for p in pieces)
     radial_err = math.fsum(p[1] for p in pieces)
     value = 1.0 + prefactor * radial
-    return MeanResult(value, prefactor * radial_err, BACKEND_AREA_INTEGRAL, work[0])
+    # 4 eps * value covers the rounding of the final sum.
+    err = prefactor * radial_err + 4.0 * _EPS * value
+    if failures:
+        # Every piece ran, so the best estimate is of the whole mean.
+        raise NumericalFailure(f"{failures[0]} in the area route at y = {y!r}", best_estimate=value,
+                               error_estimate=err, work=work[0]) from failures[0]
+    return MeanResult(value, err, BACKEND_AREA_INTEGRAL, work[0])
+
+
+def _reflected(y: float, alpha: float, tol: float) -> MeanResult:
+    """area_integral_mean beyond y = 8: y^alpha * area_integral_mean(1/y)
+    to tol/y^alpha, with the inner estimate scaled and 4 eps * value
+    for the rounding of y^alpha and of the product."""
+    scale, inside = inversion_symmetry(y, alpha)
+    if tol / scale == 0.0:
+        raise NumericalFailure(f"tol/y^alpha underflows at y = {y!r}, alpha = {alpha!r}")
+    try:
+        res = area_integral_mean(inside, alpha, tol / scale)
+    except NumericalFailure as exc:
+        raise NumericalFailure(
+            f"area route failed at y = {y!r}, alpha = {alpha!r}, reflected to y^alpha * mean(1/y)",
+            best_estimate=scale * exc.best_estimate,
+            error_estimate=scale * exc.error_estimate, work=exc.work) from exc
+    value = scale * res.value
+    return MeanResult(value, scale * res.error_estimate + 4.0 * _EPS * value,
+                      BACKEND_AREA_INTEGRAL, res.work)
 
 
 def radial_integral_lower(y: float, alpha: float) -> float:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -65,6 +66,9 @@ _WGFULL[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights si
 
 # Halvings of the tanh-sinh step after the first h = 1/2 level.
 _TANHSINH_MAX_LEVEL = 12
+# No tanh-sinh node lies closer to its singular endpoint: below this
+# the distance s would be a subnormal double.
+_S_MIN = sys.float_info.min
 
 
 def _gk15(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
@@ -157,23 +161,27 @@ def integrate_tanhsinh_singular(
 ) -> tuple[float, float, int]:
     """Integrate ``q`` over (0, width] with an s^(strength-1) endpoint.
 
-    ``q`` receives exact distances ``s`` from the singular endpoint and
-    must be vectorized.  It may return a pair (values, bounds on their
+    ``q`` receives exact distances ``s`` from the singular endpoint, all
+    normal doubles (at least ``sys.float_info.min``), and must be
+    vectorized.  It may return a pair (values, bounds on their
     errors) instead of the values: the rule's sum of the bounds is then
     added to the returned error estimate, after the ``tol`` check, which
     judges the rule alone.  ``strength`` > 0 controls how far into the
     double-exponential tail the rule reaches before transformed terms
-    drop below ~1e-16 relative.  The step is halved at most 12 times
-    from h = 1/2.  Returns (value, error_estimate, evaluations); an
-    error estimate above ``tol``, or NaN, raises
+    drop below ~1e-16 relative.  Below strength ~0.05 that reach passes
+    the smallest normal double; the nodes beyond it are dropped, and
+    the mass of s^(strength-1) they would have carried,
+    |q(s0)| s0/strength at s0 = ``sys.float_info.min``, joins the error
+    estimate before the ``tol`` check.  The step is halved at most 12
+    times from h = 1/2.  Returns (value, error_estimate, evaluations);
+    an error estimate above ``tol``, or NaN, raises
     :class:`~circmeans.core.NumericalFailure` with the best estimate.
     """
     if width <= 0.0:
         return 0.0, 0.0, 0
-    strength = min(max(strength, 1e-3), 2.0)
     # Terms decay like exp(-pi*sinh(t)*strength); pick t_max so the last
     # term is negligible, with a floor for the smooth part of q.
-    t_max = max(3.2, math.asinh(38.0 / (math.pi * strength)))
+    t_max = max(3.2, math.asinh(38.0 / (math.pi * min(max(strength, 1e-3), 2.0))))
 
     def level_sum(h: float, only_odd: bool) -> tuple[float, float, int]:
         kmax = int(math.floor(t_max / h))
@@ -190,8 +198,8 @@ def integrate_tanhsinh_singular(
         d = np.where(x >= 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
         w = math.pi * np.cosh(tau) * ex / (1.0 + ex) ** 2
         s = width * d
-        # d > 0 is not enough: width * d can underflow to 0.
-        good = (s > 0.0) & (w > 0.0)
+        # d > 0 is not enough: width * d can fall below a normal double.
+        good = (s >= _S_MIN) & (w > 0.0)
         s, w = s[good], w[good]
         out = q(s)
         vals, bounds = out if isinstance(out, tuple) else (out, None)
@@ -199,7 +207,16 @@ def integrate_tanhsinh_singular(
         bound = 0.0 if bounds is None else h * width * float(np.dot(w, bounds))
         return value, bound, int(s.size)
 
-    total, bound, n_eval = level_sum(0.5, only_odd=False)
+    # Where the design reach width * d(t_max) passes the smallest normal
+    # s, the mass below it is left out: s^(strength-1) puts q(s) s/strength there.
+    omitted, n_eval = 0.0, 0
+    if width * math.exp(-math.pi * math.sinh(t_max)) < _S_MIN:
+        out = q(np.array([_S_MIN]))
+        q_min = float((out[0] if isinstance(out, tuple) else out)[0])
+        omitted, n_eval = abs(q_min) * _S_MIN / strength, 1
+
+    total, bound, n_first = level_sum(0.5, only_odd=False)
+    n_eval += n_first
     h = 0.5
     prev = math.inf
     for level in range(1, _TANHSINH_MAX_LEVEL + 1):
@@ -216,6 +233,7 @@ def integrate_tanhsinh_singular(
         total = new_total
     else:
         err = abs(total - prev)
+    err += omitted
     if not err <= tol:
         raise NumericalFailure(
             f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",

@@ -353,6 +353,20 @@ class TestMeanCommand:
         assert "quadrature" in out and "series" in out and "area_integral" in out
         assert "mc_green" not in out
 
+    def test_area_beyond_eight_agrees(self, capsys):
+        # Beyond y = 8 the area route reflects to 1/y instead of raising.
+        assert main(["mean", "--alpha", "1", "--y", "10"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        found = {}
+        for line in lines[:3]:
+            fields = dict(f.split("=", 1) for f in line.split()[1:])
+            found[line.split()[0]] = (float(fields["value"]),
+                                      float(fields.get("error", fields.get("tail_bound"))))
+        assert list(found) == ["quadrature", "series", "area_integral"]
+        pairs = [(a, b) for i, a in enumerate(found.values()) for b in list(found.values())[i + 1:]]
+        for (va, ea), (vb, eb) in pairs:
+            assert abs(va - vb) <= ea + eb, found
+
     def test_alpha_above_two_rejected_before_any_value(self, capsys):
         # area_integral takes alpha <= 2 only: the trio must fail up front,
         # not after quadrature and series have printed.
@@ -370,6 +384,7 @@ class TestMeanCommand:
 @pytest.mark.parametrize("flags", [
     ["--alpha", "1", "--y", "1e155"],                         # (1 - y)**2 in the quadrature
     ["--alpha", "3", "--y", "1e120", "--backend", "series"],  # y**alpha in the inversion
+    ["--alpha", "2", "--y", "1e200", "--backend", "area_integral"],  # and in the area route's
 ])
 def test_overflow_is_a_numerical_failure(capsys, flags):
     assert main(["mean", *flags]) == 2

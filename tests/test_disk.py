@@ -16,6 +16,7 @@ from circmeans.disk import (
     lower_bound_from_area,
     radial_integral_lower,
 )
+from circmeans.quadrature import integrate_tanhsinh_singular
 
 mp.mp.dps = 40
 
@@ -203,6 +204,84 @@ class TestAreaIntegralMean:
         ref = (yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy)) if y > 1
                else mp.hyp2f1(-aa / 2, -aa / 2, 1, yy * yy))
         assert abs(mp.mpf(a.value) - ref) <= a.error_estimate
+
+
+def mp_mean(y, alpha):
+    """mean(y, alpha) at 40 digits, by 2F1 and the inversion identity."""
+    with mp.workdps(40):
+        yy, aa = mp.mpf(y), mp.mpf(alpha)
+        if yy > 1:
+            return yy**aa * mp.hyp2f1(-aa / 2, -aa / 2, 1, 1 / (yy * yy))
+        return mp.hyp2f1(-aa / 2, -aa / 2, 1, yy * yy)
+
+
+class TestAreaBeyondEight:
+    """Beyond y = 8 the right flank would need the inner mean past
+    u = 1/2, so the route reflects: y^alpha * mean(1/y)."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5, 1.0 - 1e-7, 1.0, 1.5, 1.9, 2.0])
+    def test_within_estimate_of_mpmath(self, alpha, tol):
+        # The contract allows a NumericalFailure; none of these raises.
+        for y in (math.nextafter(8.0, math.inf), 9.0, 13.7, 20.0, 1e3, 1e150):
+            a = area_integral_mean(y, alpha, tol)
+            assert abs(mp.mpf(a.value) - mp_mean(y, alpha)) <= a.error_estimate, (y, a)
+            assert math.isfinite(a.error_estimate) and a.work > 0
+
+    def test_eight_takes_the_split_and_beyond_reflects(self, monkeypatch):
+        import circmeans.disk as disk
+
+        flanks = []
+
+        def counting(q, width, strength, tol):
+            flanks.append(width)
+            return integrate_tanhsinh_singular(q, width, strength, tol)
+
+        monkeypatch.setattr(disk, "integrate_tanhsinh_singular", counting)
+        at_eight = area_integral_mean(8.0, 0.5)
+        assert flanks == [0.0625, 0.125]
+        assert abs(mp.mpf(at_eight.value) - mp_mean(8.0, 0.5)) <= at_eight.error_estimate
+        flanks.clear()
+        area_integral_mean(math.nextafter(8.0, math.inf), 0.5)
+        assert flanks == []
+
+    @pytest.mark.parametrize("y, alpha, tol", [
+        (1e200, 2.0, 1e-8),     # y^alpha overflows
+        (1e300, 1.5, 1e-8),     # y^alpha overflows
+        (1e300, 1.0, 1e-300),   # tol / y^alpha underflows
+        (1e200, 1.0, 1e-8),     # alpha^2 / y^2 underflows at the reflected point
+        (1e200, 1.5, 1e-8),
+    ])
+    def test_unresolvable_raises_numerical_failure_naming_y(self, y, alpha, tol):
+        with pytest.raises(NumericalFailure) as exc:
+            area_integral_mean(y, alpha, tol)
+        assert f"y = {y!r}" in str(exc.value)
+        assert repr(1.0 / y) not in str(exc.value)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestAreaSmallAlpha:
+    @pytest.mark.parametrize("y, alpha", [(1.0, 1e-3), (1.5, 1e-3), (4.0, 1e-3), (1.5, 1e-2),
+                                          (8.0, 1e-6), (4.0, 0.03), (0.5, 1e-6)])
+    def test_within_estimate_or_finite_best_estimate(self, y, alpha):
+        # The flank's tanh-sinh nodes used to reach subnormal distances,
+        # where the inner mean's expm1 overflowed and the rule's sum came
+        # out NaN.  Below alpha ~ 0.02 most of the flank's mass lies
+        # below the smallest normal double, so the route must raise.
+        ref = mp_mean(y, alpha)
+        try:
+            a = area_integral_mean(y, alpha)
+        except NumericalFailure as exc:
+            assert math.isfinite(exc.best_estimate) and exc.error_estimate > 1e-8
+            assert abs(mp.mpf(exc.best_estimate) - ref) <= exc.error_estimate
+            return
+        assert abs(mp.mpf(a.value) - ref) <= a.error_estimate
+
+    def test_final_rounding_is_counted(self):
+        # 1 + prefactor * radial rounds by about 7.8e-17 here, above the
+        # quadrature's own estimate of 2e-17.
+        a = area_integral_mean(0.5, 1e-6)
+        assert abs(mp.mpf(a.value) - mp_mean(0.5, 1e-6)) <= a.error_estimate
 
 
 class TestRadialIntegralLower:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +121,30 @@ class TestTanhSinh:
         value, _, _ = integrate_tanhsinh_singular(q, 1.0, p, 1e-12)
         assert value == pytest.approx(1.0 / p, rel=1e-11)
         assert seen["min"] < 1e-30
+
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.05])
+    def test_mass_below_the_smallest_normal_is_counted(self, p):
+        # Below strength ~0.05 the rule's reach passes the smallest normal
+        # double, where s^(p-1) can overflow the integrand's own arithmetic.
+        # Those nodes are dropped and the mass they carried, a share of
+        # about (2.2e-308)^p, joins the error estimate: half of the
+        # integral at p = 1e-3, 8e-4 of it at p = 0.01, 4e-16 at p = 0.05.
+        seen = []
+
+        def q(s):
+            seen.append(float(s.min()))
+            return s ** (p - 1.0)
+
+        exact = 0.37**p / p
+        if p < 0.05:
+            with pytest.raises(NumericalFailure) as exc:
+                integrate_tanhsinh_singular(q, 0.37, p, 1e-9 * exact)
+            assert math.isfinite(exc.value.best_estimate)
+            assert abs(exc.value.best_estimate - exact) <= exc.value.error_estimate
+        else:
+            value, _, _ = integrate_tanhsinh_singular(q, 0.37, p, 1e-9 * exact)
+            assert value == pytest.approx(exact, rel=1e-11)
+        assert min(seen) >= sys.float_info.min
 
     def test_error_above_tol_raises(self):
         # A converged level reports max(change, 1e-16 |value|); a tol below
