@@ -274,20 +274,21 @@ def _paired_coefficients(alpha: float, n: int) -> tuple[float, np.ndarray, float
     np.multiply.accumulate(table[:, 1], out=table[:, 1])
     w, x0, e = np.array(slopes).T
     xk = x0[:, None] + ks
-    # The steps log1p(e/x)/e, which are 1/x at eps = 0.
-    steps = np.log1p(e[:, None] / xk) * (w / e)[:, None] if eps else w[:, None] / xk
-    walk = np.cumsum(steps.sum(axis=0))
-    stirling = sum(wi * _stirling_slope(xi + _STIRLING_FROM, ei) for wi, xi, ei in slopes)
-    q = np.empty(_PAIRED_TERMS)
-    q[0] = 0.0
-    q[1:] = walk[:-1]
-    q += stirling - walk[_STIRLING_FROM - 1]
-    eq = eps * q
-    qa = np.expm1(eq) / eps if eps else q                    # q phi(eps q)
-    np.multiply(table[:, 1], (2 * n - 1) * qa, out=table[:, 0])
+    # n = 1 below the smallest normal alpha: the step log1p(e/x) at
+    # x = alpha overflows, and the finiteness check below raises.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # The steps log1p(e/x)/e, which are 1/x at eps = 0.
+        steps = np.log1p(e[:, None] / xk) * (w / e)[:, None] if eps else w[:, None] / xk
+        walk = np.cumsum(steps.sum(axis=0))
+        stirling = sum(wi * _stirling_slope(xi + _STIRLING_FROM, ei) for wi, xi, ei in slopes)
+        q = np.empty(_PAIRED_TERMS)
+        q[0] = 0.0
+        q[1:] = walk[:-1]
+        q += stirling - walk[_STIRLING_FROM - 1]
+        eq = eps * q
+        qa = np.expm1(eq) / eps if eps else q                # q phi(eps q)
+        np.multiply(table[:, 1], (2 * n - 1) * qa, out=table[:, 0])
     if not np.isfinite(table).all():
-        # n = 1 below the smallest normal alpha: the step log1p(e/x) at
-        # x = alpha overflows.
         raise NumericalFailure(f"connection coefficients overflow at alpha = {alpha!r}")
     table.flags.writeable = False
     return gauss, table, float(np.abs(eq).max())

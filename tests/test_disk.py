@@ -10,6 +10,7 @@ from circmeans.bounds import mid_bound
 from circmeans.circle import mean_quadrature
 from circmeans.core import NumericalFailure
 from circmeans.disk import (
+    _radial_weight,
     area_integral_mean,
     inner_mean,
     inner_mean_near_one,
@@ -100,13 +101,38 @@ class TestInnerMean:
             with pytest.raises(ValueError):
                 inner_mean_near_one(np.array(u), 1.0)
 
+    # Arrays inside the series disk, 0, -0.0 and 0.9 included.
+    INSIDE = [np.array([0.0]), np.array([-0.0]), np.array([0.9]),
+              np.array([0.0, -0.0, 0.9, 1e-300, 1e-8, 0.01, 0.125, 0.2, 1 / 3,
+                        0.5, 0.6, 0.75, 0.8, 0.875, math.nextafter(0.9, 0.0)])]
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9, 2.0])
+    def test_all_inside_matches_the_general_path(self, alpha):
+        # Ring points on both sides of t = 1 send the same points through
+        # the region dispatch; the values must be the same bits.  (A point
+        # that joins the series batch, such as t = 1.2, changes the batch's
+        # row count, and with it the BLAS summation order in the last bit.)
+        for t in self.INSIDE:
+            general = inner_mean(np.concatenate([t, [0.95, 1.05]]), alpha)[:t.size]
+            assert np.array_equal(inner_mean(t, alpha), general), t
+
+    def test_nan_and_negative_inputs_take_the_general_path(self):
+        assert np.isnan(inner_mean(np.array([np.nan]), 1.5)).all()
+        with pytest.raises(ValueError):
+            inner_mean(np.array([0.5, -1e-300]), 1.5)
+        with pytest.raises(ValueError):
+            inner_mean(np.array([-0.1]), 1.5)
+        assert inner_mean(np.array([]), 1.5).shape == (0,)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [1e-160, 1e-300, 1e-310, 5e-324])
     def test_near_one_tiny_alpha_within_estimate_or_numerical_failure(self, alpha):
         # (alpha/2)^2 loses digits below alpha ~ 3e-154 and rounds to 0
         # below 4e-162, and so do the coefficients after the first; for
-        # subnormal alpha the steps at x = alpha overflow.  1e-300 raised
-        # TypeError and 1e-310 returned NaN.  At 40 digits the mpmath
-        # value is 1/(u (2 - u)) here.
+        # subnormal alpha the steps at x = alpha overflow, which must
+        # raise NumericalFailure without a RuntimeWarning first.  1e-300
+        # raised TypeError and 1e-310 returned NaN.  At 40 digits the
+        # mpmath value is 1/(u (2 - u)) here.
         u = np.array([0.1, 1e-8])
         try:
             values, errors = inner_mean_near_one(u, alpha, with_error=True)
@@ -116,6 +142,20 @@ class TestInnerMean:
         for ui, v, e in zip(u, values, errors):
             t = 1 - mp.mpf(ui)
             assert abs(mp.mpf(v) - mp.hyp2f1(a, a, 1, t * t)) <= e, (ui, v, e)
+
+
+class TestRadialWeight:
+    def test_all_positive_matches_the_general_path(self):
+        # An r = 0 element sends the same points through the masked path.
+        for r in (np.array([0.5]), np.linspace(1e-300, 1.0, 15), 0.5 + 0.5 * np.cos(np.arange(15))):
+            r = r[r > 0.0]
+            assert np.array_equal(_radial_weight(r), _radial_weight(np.append(r, 0.0))[:-1])
+
+    def test_zero_nan_and_negative_give_zero(self):
+        w = _radial_weight(np.array([0.5, 0.0, -0.0, np.nan, -0.5]))
+        assert np.array_equal(w, [-0.5 * math.log(0.5), 0.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(_radial_weight(np.array([np.nan])), [0.0])
+        assert _radial_weight(np.array([])).shape == (0,)
 
 
 class TestAreaIntegralMean:

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -145,6 +146,18 @@ class TestTanhSinh:
             value, _, _ = integrate_tanhsinh_singular(q, 0.37, p, 1e-9 * exact)
             assert value == pytest.approx(exact, rel=1e-11)
         assert min(seen) >= sys.float_info.min
+
+    @pytest.mark.parametrize("width", [1e-3, 0.37, math.pi])
+    @pytest.mark.parametrize("p", [0.05, 0.06, 0.1, 0.25, 1.0, 2.0])
+    def test_estimate_covers_the_rounding(self, p, width):
+        # The converged change can sit below the sum's own rounding: at
+        # width 0.37, p = 0.1 returned an error of 3.2e-15 against an
+        # estimate of 1.8e-15.  The c eps sum |w q| term covers it.
+        with mp.workdps(40):
+            exact = mp.mpf(width) ** p / p
+            value, err, _ = integrate_tanhsinh_singular(lambda s: s ** (p - 1.0), width, p,
+                                                        1e-9 * float(exact))
+            assert abs(mp.mpf(value) - exact) <= err
 
     def test_error_above_tol_raises(self):
         # A converged level reports max(change, 1e-16 |value|); a tol below
