@@ -184,9 +184,13 @@ def _power_sums(
     columns of the values.  ``coefficients(k, n)`` returns c_k ...
     c_(k+n-1) (an array of n, or n by r).  Terms go ``block`` at a time
     from k = 1, up to ``max_terms`` of them: the block's powers come from
-    one sequential product along the rows, and its sums from one matrix
-    product.  After each block from k = k_min on, the tail bound at each
-    point is |last term| * z/(1 - z), which holds where every coefficient
+    one sequential product along the rows, and its sums from
+    ``np.vecdot``, one dot product per row (and per sum), so a point
+    gets the same bits in a batch of any size, which a BLAS matrix
+    product, whose summation order changes with the number of rows,
+    does not give.  After each
+    block from k = k_min on, the tail bound at each point is
+    |last term| * z/(1 - z), which holds where every coefficient
     ratio |c_(j+1)/c_j| is <= 1 from the last term on; it takes
     |coefficient|, so the coefficients need not be positive.  With
     ``harmonic_b`` = b > -0.45 it is also capped by the harmonic bound
@@ -210,7 +214,7 @@ def _power_sums(
         nblk = min(block, max_terms - k)
         cs = coefficients(k + 1, nblk)
         powers = np.multiply.accumulate(steps[:, :nblk], axis=1)
-        values = values + powers @ cs
+        values = values + (np.vecdot(powers[:, None], cs.T) if columns else np.vecdot(powers, cs))
         k += nblk
         if k < max_terms:
             steps[:, 0] = powers[:, -1] * z
@@ -268,7 +272,8 @@ def _paired_coefficients(alpha: float, n: int) -> tuple[float, np.ndarray, float
         slopes = ((1.0, alpha, -eps), (1.0, 1.0, -eps),
                   (-1.0, 0.5 * alpha, -0.5 * eps), (-1.0, 0.5, -0.5 * eps))
     ks = np.arange(_PAIRED_TERMS, dtype=float)
-    table = np.empty((_PAIRED_TERMS, 2))
+    # Column by column, so _power_sums' dot products run on contiguous rows of its transpose.
+    table = np.empty((_PAIRED_TERMS, 2), order="F")
     table[0, 1] = c0
     table[1:, 1] = (ks[:-1] + a) ** 2 / ((ks[:-1] + b) * (ks[:-1] + d))
     np.multiply.accumulate(table[:, 1], out=table[:, 1])

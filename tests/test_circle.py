@@ -91,6 +91,31 @@ class TestMeanQuadrature:
         else:
             assert r.error_estimate <= 1e-30
 
+    # Points where the theta rule's estimate, per-panel |K - G| alone,
+    # fell below its error against 50-digit mpmath, by up to 2.6 ulps.
+    ROUNDING_MISSES = [(0.0010898741111409205, 0.1), (0.0010898741111409205, 0.75),
+                       (9.27868922446569, 0.5), (0.9999999917614685, 1.0),
+                       (0.9999999862307697, 1.0 - 1e-7), (1.0000000006885303, 1.0 - 1e-7),
+                       (11.32625834065257, 2.0)]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("y, alpha", ROUNDING_MISSES)
+    def test_estimate_covers_the_rounding(self, y, alpha, tol):
+        r = mean_quadrature(y, alpha, tol)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(r.value) - mp_power_mean(y, alpha, 50)) <= r.error_estimate
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 1.0 - 1e-7, 1.0, 1.5, 2.0])
+    def test_estimate_holds_near_and_away_from_the_circle(self, alpha):
+        # Every point within its estimate, with no ulps of slack.
+        ys = [1.0 + s * 1.7 * 10.0**-k for k in (2, 5, 8, 11) for s in (1, -1)]
+        for y in ys + [1.0, 1e-3, 0.37, 3.3, 17.9]:
+            for tol in (1e-10, 1e-13):
+                r = mean_quadrature(y, alpha, tol)
+                with mpmath.workdps(50):
+                    ref = mp_power_mean(y, alpha, 50)
+                    assert abs(mpmath.mpf(r.value) - ref) <= r.error_estimate, (y, tol)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             mean_quadrature(-0.5, 1.0)
@@ -280,11 +305,11 @@ class TestMeanProperties:
         assert r.value >= floor - r.error_estimate - 1e-8 * floor
 
 
-def mp_power_mean(y: float, p: float):
-    """(1/pi) int_0^pi |1 + y e^{i th}|^p dth at 30 digits: the Gauss
+def mp_power_mean(y: float, p: float, dps: int = 30):
+    """(1/pi) int_0^pi |1 + y e^{i th}|^p dth at ``dps`` digits: the Gauss
     function 2F1(-p/2, -p/2; 1; y^2) for y <= 1 and y^p times the same
     at 1/y^2 above; at p = 0 the log mean max(0, ln y) (Jensen)."""
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         y, p = mpmath.mpf(y), mpmath.mpf(p)
         if p == 0:
             return mpmath.log(y) if y > 1 else mpmath.mpf(0)

@@ -108,13 +108,26 @@ class TestInnerMean:
 
     @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9, 2.0])
     def test_all_inside_matches_the_general_path(self, alpha):
-        # Ring points on both sides of t = 1 send the same points through
-        # the region dispatch; the values must be the same bits.  (A point
-        # that joins the series batch, such as t = 1.2, changes the batch's
-        # row count, and with it the BLAS summation order in the last bit.)
+        # Ring points on both sides of t = 1, and t = 1.2, which joins the
+        # series batch as 1/1.2, send the same points through the region
+        # dispatch; the values must be the same bits.
         for t in self.INSIDE:
-            general = inner_mean(np.concatenate([t, [0.95, 1.05]]), alpha)[:t.size]
+            general = inner_mean(np.concatenate([t, [0.95, 1.05, 1.2]]), alpha)[:t.size]
             assert np.array_equal(inner_mean(t, alpha), general), t
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("t", [0.9, 0.3, 1e-3, 1.2, 0.95, 1.05, 0.999])
+    def test_one_radius_same_bits_in_any_batch(self, t, alpha):
+        # Series radii (t = 0.9 at alpha = 0.05 gave ...656 alone and ...657
+        # next to other radii under a BLAS product) and ring radii, whose
+        # connection sums go two columns at a time.
+        alone = inner_mean(np.array([t]), alpha)
+        others = np.random.default_rng(7).uniform(0.0, 1.3, 14)
+        others[others == 1.0] = 0.5
+        for n in (2, 3, 8, 15):
+            for pos in (0, n - 1):
+                batch = np.insert(others[:n - 1], pos, t)
+                assert np.array_equal(inner_mean(batch, alpha)[pos:pos + 1], alone), (n, pos)
 
     def test_nan_and_negative_inputs_take_the_general_path(self):
         assert np.isnan(inner_mean(np.array([np.nan]), 1.5)).all()
@@ -297,6 +310,40 @@ class TestAreaBeyondEight:
             area_integral_mean(y, alpha, tol)
         assert f"y = {y!r}" in str(exc.value)
         assert repr(1.0 / y) not in str(exc.value)
+
+
+class TestAreaExcess:
+    """On 0 < y <= 1/8 the rule integrates (m(y r) - 1) r ln(1/r) and
+    adds the moment 1/4; every reflected call (y > 8) lands there."""
+
+    ALPHAS = [1e-6, 1e-3, 0.03, 0.25, 0.5, 1.0 - 1e-7, 1.0, 1.5, 1.9, 2.0]
+    BOUNDARY = math.nextafter(0.125, 1.0)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_within_estimate_of_mpmath(self, alpha, tol):
+        for y in (1e-6, 0.01, 1 / 16, 0.125, self.BOUNDARY, 0.2, 8.0 + 1e-6, 16.0, 20.0, 1e3):
+            a = area_integral_mean(y, alpha, tol)
+            assert abs(mp.mpf(a.value) - mp_mean(y, alpha)) <= a.error_estimate, (y, a)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_both_sides_of_the_boundary_agree(self, alpha):
+        inside, outside = area_integral_mean(0.125, alpha), area_integral_mean(self.BOUNDARY, alpha)
+        assert abs(inside.value - outside.value) <= inside.error_estimate + outside.error_estimate
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("y", [9.0, 16.0, 20.0])
+    def test_reflection_matches_the_inner_point(self, y, alpha):
+        outer, inner = area_integral_mean(y, alpha), area_integral_mean(1.0 / y, alpha)
+        scale = y**alpha
+        assert abs(outer.value - scale * inner.value) <= (
+            outer.error_estimate + scale * inner.error_estimate)
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("y", [1e-6, 0.01, 1 / 16, 0.125, 9.0, 16.0, 20.0])
+    def test_at_most_three_panels(self, y, alpha):
+        # m r ln(1/r) took up to 255 evaluations here at the default tol.
+        assert area_integral_mean(y, alpha).work <= 45
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

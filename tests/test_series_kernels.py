@@ -48,7 +48,8 @@ def loop_hyp2f1_series(z, b, c, tol, *, max_terms=500_000):
             coeff = coeff * (f * f / (kk * (c - 1.0 + kk)))
             cs[j] = coeff
         powers = _loop_powers(p_next, z, nblk)
-        values = values + powers @ cs
+        # One row at a time: a row's sum must not depend on the others.
+        values = values + np.array([np.vecdot(row, cs) for row in powers])
         p_next = powers[:, -1] * z
         k += nblk
         if coeff == 0.0:
