@@ -15,16 +15,24 @@ Numerical structure of the radial integrand:
   t -> 1 (non-integrably on the circle itself when alpha <= 1, which is
   why the radial rule must never sample y r = 1 exactly).
 * For y >= 1 the blow-up sits at the point r = 1/y, interior for
-  y > 1 and the outer endpoint at y = 1.  The flanking subintervals are
-  handled by a tanh-sinh rule parameterized by the exact distance
-  s = |r - 1/y| (at y = 1 only the left flank is non-empty), and m near
-  t = 1 is evaluated from the hypergeometric connection expansion in
-  u = |1 - t| directly, so no accuracy is lost to forming 1 - t.  Its
-  two families are paired term by term, one form for every
+  y > 1 and the outer endpoint at y = 1.  On 8/7 <= y <= 8 the rule
+  splits there, and the flanking subintervals are handled by a
+  tanh-sinh rule parameterized by the exact distance s = |r - 1/y|;
+  m near t = 1 is evaluated from the hypergeometric connection
+  expansion in u = |1 - t| directly, so no accuracy is lost to forming
+  1 - t.  Its two families are paired term by term, one form for every
   0 < alpha < 2, so nothing cancels near alpha = 1 and the value's own
   error bound, which the flanks integrate, stays at the rounding level.
-* Beyond y = 8 a flank 1/8 wide would need m past u = 1/2, so the
-  route reflects there instead: mean(y) = y^alpha * mean(1/y).
+* On 7/8 < y <= 1, where 1/y lies within one flank (1/8) of the rim
+  r = 1, one tanh-sinh rule in s = 1 - r takes the whole integral, each
+  node with its exact distance u = (1 - y) + y s to the circle, so
+  y = 1 and the radii just below it need no split.  The rule would
+  serve every 1/8 < y <= 8 (reflected above 1); it stays on this band
+  until the benchmark's peak-memory reading stops growing with its
+  pass count.
+* On 1 < y < 8/7 a right flank 1/8 wide would run past the rim, and
+  beyond y = 8 it would need m past u = 1/2, so the route reflects
+  there instead: mean(y) = y^alpha * mean(1/y).
 * On y <= 1/8, where every reflected call lands, the rule integrates
   the excess (m(y r) - 1) r ln(1/r), which vanishes like r^3 ln(1/r)
   at r = 0, and adds the exact moment int_0^1 r ln(1/r) dr = 1/4.  At
@@ -59,8 +67,10 @@ from .quadrature import integrate_adaptive, integrate_tanhsinh_singular
 # above, connection expansion in the ring around t = 1.
 _SERIES_CUTOFF = 0.9
 _NEAR_ONE_CUTOFF = 1.0 / _SERIES_CUTOFF
-# Widest flank of the area route's split at r = 1/y, and the largest y
-# at which it integrates the excess m - 1 instead of m.
+# Widest flank of the area route's split at r = 1/y.  It also sets the
+# largest y at which the route integrates the excess m - 1 instead of m,
+# and the band 1 - _FLANK < y < 1/(1 - _FLANK), where 1/y lies within one
+# flank of the rim and one tanh-sinh rule in the distance to it serves.
 _FLANK = 0.125
 
 
@@ -154,50 +164,73 @@ def _radial_weight(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rim_weight(s: np.ndarray) -> np.ndarray:
+    """r ln(1/r) at r = 1 - s for 0 < s <= 1, from log1p(-s) so that it
+    keeps its digits near the rim s -> 0, and exactly 0 at s = 1 (r = 0),
+    where the product would be 0 * inf."""
+    r = 1.0 - s
+    out = np.zeros(s.shape)
+    pos = r > 0.0
+    out[pos] = -r[pos] * np.log1p(-s[pos])
+    return out
+
+
 def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
     """Circular mean of |1 + y*zeta|^alpha via the interior representation.
 
     Independent of :func:`~circmeans.circle.mean_quadrature` (different
     domain, different integrand, different special-function machinery),
     which is what makes the cross-agreement of the two a meaningful
-    check.  For y >= 1 the radial rule splits at r = 1/y, so the
-    divergent inner radius is never sampled; the flanking pieces use a
-    tanh-sinh rule in the exact distance from 1/y, each at most 1/8
-    wide.  At y = 1 that point is the outer endpoint, so the right flank
-    and the piece beyond it are empty and the split runs GK15 on
-    [0, 7/8] and the left flank.  Beyond y = 8 the right flank would
-    need the inner mean at u = y s/(1 + y s) > 1/2, past its expansion,
-    so there the route reflects through the inversion identity
-    mean(y) = y^alpha * mean(1/y) (:func:`~circmeans.circle.inversion_symmetry`,
-    which the series backend uses too) and integrates at 1/y < 1/8 to
-    tol/y^alpha; up to y = 8 it stays independent of that identity.
-    For 0 < y <= 1/8 the rule integrates the excess
-    (m(y r) - 1) r ln(1/r) and adds the moment 1/4 exactly, with no
-    error of its own: there m lies in [1, 1.02], so m - 1 is exact
-    (Sterbenz), and the integrand vanishes like r^3 ln(1/r) at r = 0
-    instead of carrying r ln(1/r)'s kink.  The boundary 1/8, the flank
-    cap, is staging, not numerics: the excess form serves every y < 1,
-    but on the rest of y < 1 it waits until the benchmark's peak-memory
-    reading stops growing with its pass count (a copy with the form on
-    all of y < 1 ran enough more verify-chain passes to read 13.5 %
-    more peak memory).  The estimate adds 4 eps * value for the
-    rounding of the final sum (or product).  Raises :class:`~circmeans.core.NumericalFailure`,
+    check.  The radial rule depends on where the inner mean's blow-up
+    radius r = 1/y lies:
+
+    * 7/8 < y <= 1 (1/y within one flank, 1/8, of the rim r = 1): one
+      tanh-sinh rule in the distance s = 1 - r from the rim, strength
+      alpha, whose nodes crowd double-exponentially toward s = 0.  Each
+      node gets the exact distance u = (1 - y) + y s to the circle, so
+      y = 1 and radii just below it need no split; m comes from the
+      connection expansion where u <= 0.1 and from the series elsewhere.
+      The rule serves every 1/8 < y <= 8 (reflected above 1), but
+      outside this band it waits until the benchmark's peak-memory
+      reading stops growing with its pass count.
+    * 8/7 <= y <= 8: the rule splits at r = 1/y, so the divergent inner
+      radius is never sampled; the flanking pieces use a tanh-sinh rule
+      in the exact distance from 1/y, the right one 1/8 wide and the
+      left one at most 1/8 and at most half of 1/y.
+    * 1 < y < 8/7 and y > 8: the route reflects through the inversion
+      identity mean(y) = y^alpha * mean(1/y)
+      (:func:`~circmeans.circle.inversion_symmetry`, which the series
+      backend uses too) and integrates at 1/y to tol/y^alpha.  Beyond
+      y = 8 the split's right flank would need the inner mean at
+      u = y s/(1 + y s) > 1/2, past its expansion; below 8/7 it would
+      run past the rim.  From 8/7 to 8 the route stays independent of
+      that identity.
+    * 0 < y <= 7/8: one GK15 rule over [0, 1].  For 0 < y <= 1/8, where
+      every call reflected from y > 8 lands, it integrates the excess
+      (m(y r) - 1) r ln(1/r) and adds the moment 1/4 exactly, with no
+      error of its own: there m lies in [1, 1.02], so m - 1 is exact
+      (Sterbenz), and the integrand vanishes like r^3 ln(1/r) at r = 0
+      instead of carrying r ln(1/r)'s kink.  The boundary 1/8, the flank
+      cap, is staging, not numerics: the excess form serves every y < 1,
+      but on the rest of y < 1 it waits as the band rule does (a copy
+      with the form on all of y < 1 ran enough more verify-chain passes
+      to read 13.5 % more peak memory).
+
+    The estimate adds 4 eps * value for the rounding of the final sum
+    (or product).  Raises :class:`~circmeans.core.NumericalFailure`,
     with the best estimate of the mean where a rule failed, where
     alpha - 2 rounds to -2 (alpha below about 2.2e-16), alpha^2 y^2
-    underflows, or, beyond y = 8, y^alpha overflows or tol/y^alpha
+    underflows, or, where it reflects, y^alpha overflows or tol/y^alpha
     underflows; the message names the caller's y.
     """
-    y = check_radius(y)
-    alpha = check_alpha(alpha, upper=2.0)
-    tol = check_tol(tol)
+    return _area_mean(check_radius(y), check_alpha(alpha, upper=2.0), check_tol(tol))
+
+
+def _area_mean(y: float, alpha: float, tol: float) -> MeanResult:
+    """area_integral_mean on validated arguments."""
     if y == 0.0:
         return MeanResult(1.0, 0.0, BACKEND_AREA_INTEGRAL, 0)
-
-    r_star = 1.0 / y
-    # Flank widths: at most 1/8, and on the left at most half of r*.
-    dl = min(0.5 * r_star, _FLANK)
-    dr = min(1.0 - r_star, _FLANK)
-    if y * dr > 1.0:
+    if y > 1.0 and (y * _FLANK > 1.0 or y < 1.0 / (1.0 - _FLANK)):
         return _reflected(y, alpha, tol)
 
     prefactor = alpha * alpha * y * y
@@ -229,9 +262,9 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
             failures.append(exc)
         pieces.append((v, e))
 
+    # The tanh-sinh pieces return each value with a bound on its error
+    # from the inner mean's own estimate, which the rule integrates alongside.
     def add_singular(q, width: float, share: float) -> None:
-        if width <= 0.0:
-            return
         try:
             v, e, n = integrate_tanhsinh_singular(q, width, alpha, share)
         except NumericalFailure as exc:
@@ -240,17 +273,33 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
         work[0] += n
         pieces.append((v, e))
 
-    if y < 1.0:
-        # t = y r stays below 1; integrand analytic on (0, 1].
+    if y <= 1.0 - _FLANK:
+        # t = y r stays below 7/8; integrand analytic on (0, 1].
         add_adaptive(0.0, 1.0, rtol)
+    elif y <= 1.0:
+        one_minus_y = 1.0 - y  # exact: y > 1/2
+
+        def q_rim(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            u = one_minus_y + y * s
+            near = u <= 0.1
+            m, m_err = np.empty(s.shape), np.zeros(s.shape)
+            if near.any():
+                m[near], m_err[near] = inner_mean_near_one(u[near], alpha, with_error=True)
+            far = ~near
+            if far.any():
+                m[far] = inner_mean(y * (1.0 - s[far]), alpha)
+            w = _rim_weight(s)
+            return m * w, m_err * w
+
+        add_singular(q_rim, 1.0, rtol)
     else:
-        # Split at r* = 1/y; at y = 1, dr = 0 leaves both right pieces empty.
+        # Split at r* = 1/y into [0, r* - dl], the two flanks and [r* + 1/8, 1].
+        r_star = 1.0 / y
+        dl = min(0.5 * r_star, _FLANK)
         share = rtol / 4.0
 
         add_adaptive(0.0, r_star - dl, share)
 
-        # The flanks return each value with a bound on its error from the
-        # inner mean's own estimate, which the rule integrates alongside.
         def q_left(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             m, m_err = inner_mean_near_one(y * s, alpha, with_error=True)
             w = _radial_weight(r_star - s)
@@ -265,8 +314,8 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
             w = _radial_weight(r_star + s)
             return scale * m * w, scale * m_err * w
 
-        add_singular(q_right, dr, share)
-        add_adaptive(r_star + dr, 1.0, share)
+        add_singular(q_right, _FLANK, share)
+        add_adaptive(r_star + _FLANK, 1.0, share)
 
     radial = math.fsum(p[0] for p in pieces)
     radial_err = math.fsum(p[1] for p in pieces)
@@ -281,14 +330,14 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
 
 
 def _reflected(y: float, alpha: float, tol: float) -> MeanResult:
-    """area_integral_mean beyond y = 8: y^alpha * area_integral_mean(1/y)
-    to tol/y^alpha, with the inner estimate scaled and 4 eps * value
-    for the rounding of y^alpha and of the product."""
+    """The area route on 1 < y < 8/7 and beyond y = 8:
+    y^alpha * mean(1/y) to tol/y^alpha, with the inner estimate scaled
+    and 4 eps * value for the rounding of y^alpha and of the product."""
     scale, inside = inversion_symmetry(y, alpha)
     if tol / scale == 0.0:
         raise NumericalFailure(f"tol/y^alpha underflows at y = {y!r}, alpha = {alpha!r}")
     try:
-        res = area_integral_mean(inside, alpha, tol / scale)
+        res = _area_mean(inside, alpha, tol / scale)
     except NumericalFailure as exc:
         raise NumericalFailure(
             f"area route failed at y = {y!r}, alpha = {alpha!r}, reflected to y^alpha * mean(1/y)",
