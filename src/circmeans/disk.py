@@ -15,7 +15,7 @@ Numerical structure of the radial integrand:
   t -> 1 (non-integrably on the circle itself when alpha <= 1, which is
   why the radial rule must never sample y r = 1 exactly).
 * For y >= 1 the blow-up sits at the point r = 1/y, interior for
-  y > 1 and the outer endpoint at y = 1.  On 8/7 <= y <= 8 the rule
+  y > 1 and the outer endpoint at y = 1.  On 8/7 <= y < 8 the rule
   splits there, and the flanking subintervals are handled by a
   tanh-sinh rule parameterized by the exact distance s = |r - 1/y|;
   m near t = 1 is evaluated from the hypergeometric connection
@@ -27,12 +27,13 @@ Numerical structure of the radial integrand:
   r = 1, one tanh-sinh rule in s = 1 - r takes the whole integral, each
   node with its exact distance u = (1 - y) + y s to the circle, so
   y = 1 and the radii just below it need no split.  The rule would
-  serve every 1/8 < y <= 8 (reflected above 1); it stays on this band
+  serve every 1/8 < y < 8 (reflected above 1); it stays on this band
   until the benchmark's peak-memory reading stops growing with its
   pass count.
 * On 1 < y < 8/7 a right flank 1/8 wide would run past the rim, and
-  beyond y = 8 it would need m past u = 1/2, so the route reflects
-  there instead: mean(y) = y^alpha * mean(1/y).
+  from y = 8 on it would need m at u = 1/2, the edge of the expansion,
+  and past it, so the route reflects there instead:
+  mean(y) = y^alpha * mean(1/y).
 * On y <= 1/8, where every reflected call lands, the rule integrates
   the excess (m(y r) - 1) r ln(1/r), which vanishes like r^3 ln(1/r)
   at r = 0, and adds the exact moment int_0^1 r ln(1/r) dr = 1/4.  At
@@ -190,23 +191,24 @@ def area_integral_mean(y: float, alpha: float, tol: float = 1e-8) -> MeanResult:
       node gets the exact distance u = (1 - y) + y s to the circle, so
       y = 1 and radii just below it need no split; m comes from the
       connection expansion where u <= 0.1 and from the series elsewhere.
-      The rule serves every 1/8 < y <= 8 (reflected above 1), but
+      The rule serves every 1/8 < y < 8 (reflected above 1), but
       outside this band it waits until the benchmark's peak-memory
       reading stops growing with its pass count.
-    * 8/7 <= y <= 8: the rule splits at r = 1/y, so the divergent inner
+    * 8/7 <= y < 8: the rule splits at r = 1/y, so the divergent inner
       radius is never sampled; the flanking pieces use a tanh-sinh rule
       in the exact distance from 1/y, the right one 1/8 wide and the
       left one at most 1/8 and at most half of 1/y.
-    * 1 < y < 8/7 and y > 8: the route reflects through the inversion
+    * 1 < y < 8/7 and y >= 8: the route reflects through the inversion
       identity mean(y) = y^alpha * mean(1/y)
       (:func:`~circmeans.circle.inversion_symmetry`, which the series
-      backend uses too) and integrates at 1/y to tol/y^alpha.  Beyond
-      y = 8 the split's right flank would need the inner mean at
-      u = y s/(1 + y s) > 1/2, past its expansion; below 8/7 it would
-      run past the rim.  From 8/7 to 8 the route stays independent of
-      that identity.
+      backend uses too) and integrates at 1/y to tol/y^alpha.  From
+      y = 8 on the split's right flank would need the inner mean at
+      u = y s/(1 + y s) >= 1/2, at the edge of its expansion and past
+      it, and 1/y <= 1/8 lands on the excess rule; below 8/7
+      it would run past the rim.  On 8/7 <= y < 8 the route stays
+      independent of that identity.
     * 0 < y <= 7/8: one GK15 rule over [0, 1].  For 0 < y <= 1/8, where
-      every call reflected from y > 8 lands, it integrates the excess
+      every call reflected from y >= 8 lands, it integrates the excess
       (m(y r) - 1) r ln(1/r) and adds the moment 1/4 exactly, with no
       error of its own: there m lies in [1, 1.02], so m - 1 is exact
       (Sterbenz), and the integrand vanishes like r^3 ln(1/r) at r = 0
@@ -230,7 +232,7 @@ def _area_mean(y: float, alpha: float, tol: float) -> MeanResult:
     """area_integral_mean on validated arguments."""
     if y == 0.0:
         return MeanResult(1.0, 0.0, BACKEND_AREA_INTEGRAL, 0)
-    if y > 1.0 and (y * _FLANK > 1.0 or y < 1.0 / (1.0 - _FLANK)):
+    if y > 1.0 and (y * _FLANK >= 1.0 or y < 1.0 / (1.0 - _FLANK)):
         return _reflected(y, alpha, tol)
 
     prefactor = alpha * alpha * y * y
@@ -282,10 +284,11 @@ def _area_mean(y: float, alpha: float, tol: float) -> MeanResult:
         def q_rim(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             u = one_minus_y + y * s
             near = u <= 0.1
-            m, m_err = np.empty(s.shape), np.zeros(s.shape)
+            # m(0) = 1 stands at the nodes s = 1 (r = 0), where the weight is 0.
+            m, m_err = np.ones(s.shape), np.zeros(s.shape)
             if near.any():
                 m[near], m_err[near] = inner_mean_near_one(u[near], alpha, with_error=True)
-            far = ~near
+            far = ~near & (s < 1.0)
             if far.any():
                 m[far] = inner_mean(y * (1.0 - s[far]), alpha)
             w = _rim_weight(s)
@@ -330,7 +333,7 @@ def _area_mean(y: float, alpha: float, tol: float) -> MeanResult:
 
 
 def _reflected(y: float, alpha: float, tol: float) -> MeanResult:
-    """The area route on 1 < y < 8/7 and beyond y = 8:
+    """The area route on 1 < y < 8/7 and from y = 8 on:
     y^alpha * mean(1/y) to tol/y^alpha, with the inner estimate scaled
     and 4 eps * value for the rounding of y^alpha and of the product."""
     scale, inside = inversion_symmetry(y, alpha)

@@ -66,6 +66,9 @@ _WGFULL[1:15:2] = np.concatenate([_WG[:-1], _WG[::-1]])       # Gauss weights si
 
 # Halvings of the tanh-sinh step after the first h = 1/2 level.
 _TANHSINH_MAX_LEVEL = 12
+# The first level whose change the convergence test judges; every call
+# evaluates the levels up to it.
+_TANHSINH_MIN_LEVEL = 3
 # No tanh-sinh node lies closer to its singular endpoint: below this
 # the distance s would be a subnormal double.
 _S_MIN = sys.float_info.min
@@ -192,6 +195,14 @@ def integrate_tanhsinh_singular(
     times from h = 1/2.  Returns (value, error_estimate, evaluations);
     an error estimate above ``tol``, or NaN, raises
     :class:`~circmeans.core.NumericalFailure` with the best estimate.
+
+    Convergence is judged from level 3 (h = 1/16) on, so every call
+    evaluates levels 0-3: their nodes, after the probe at the smallest
+    normal s where there is one, go to ``q`` in one call, and each later
+    level's in one call of its own.  Each level is summed from its own
+    slice, so the value, estimate and evaluation count equal those of
+    one call per level for any ``q`` whose output does not depend on
+    the batch it is given.
     """
     if width <= 0.0:
         return 0.0, 0.0, 0
@@ -199,13 +210,11 @@ def integrate_tanhsinh_singular(
     # term is negligible, with a floor for the smooth part of q.
     t_max = max(3.2, math.asinh(38.0 / (math.pi * min(max(strength, 1e-3), 2.0))))
 
-    def level_sum(h: float, only_odd: bool) -> tuple[float, float, float, int]:
+    def level_nodes(h: float, only_odd: bool) -> tuple[np.ndarray, np.ndarray]:
         kmax = int(math.floor(t_max / h))
         ks = np.arange(-kmax, kmax + 1)
         if only_odd:
             ks = ks[ks % 2 != 0]
-        if ks.size == 0:
-            return 0.0, 0.0, 0.0, 0
         tau = ks * h
         x = math.pi * np.sinh(tau)
         # d = 1/(1 + e^x) without overflow on either side; the weight
@@ -216,35 +225,55 @@ def integrate_tanhsinh_singular(
         s = width * d
         # d > 0 is not enough: width * d can fall below a normal double.
         good = (s >= _S_MIN) & (w > 0.0)
-        s, w = s[good], w[good]
-        out = q(s)
-        vals, bounds = out if isinstance(out, tuple) else (out, None)
-        wq = w * np.asarray(vals, dtype=float)
+        return s[good], w[good]
+
+    def level_sum(h: float, w: np.ndarray, vals: np.ndarray,
+                  bounds: np.ndarray | None) -> tuple[float, float, float]:
+        wq = w * vals
         value = h * width * float(np.sum(wq))
         bound = 0.0 if bounds is None else h * width * float(np.dot(w, bounds))
-        return value, bound, h * width * float(np.abs(wq).sum()), int(s.size)
+        return value, bound, h * width * float(np.abs(wq).sum())
 
+    def evaluate(s: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        out = q(s)
+        vals, bounds = out if isinstance(out, tuple) else (out, None)
+        return (np.asarray(vals, dtype=float),
+                None if bounds is None else np.asarray(bounds, dtype=float))
+
+    # Levels 0 to _TANHSINH_MIN_LEVEL always run, so their nodes go to q in
+    # one call, after the probe below where there is one.
+    steps = [0.5 ** (level + 1) for level in range(_TANHSINH_MIN_LEVEL + 1)]
+    grids = [level_nodes(h, only_odd=level > 0) for level, h in enumerate(steps)]
     # Where the design reach width * d(t_max) passes the smallest normal
     # s, the mass below it is left out: s^(strength-1) puts q(s) s/strength there.
-    omitted, n_eval = 0.0, 0
-    if width * math.exp(-math.pi * math.sinh(t_max)) < _S_MIN:
-        out = q(np.array([_S_MIN]))
-        q_min = float((out[0] if isinstance(out, tuple) else out)[0])
-        omitted, n_eval = abs(q_min) * _S_MIN / strength, 1
+    probe = width * math.exp(-math.pi * math.sinh(t_max)) < _S_MIN
+    batch = [np.array([_S_MIN])] if probe else []
+    vals, bounds = evaluate(np.concatenate(batch + [s for s, _ in grids]))
+    omitted = abs(float(vals[0])) * _S_MIN / strength if probe else 0.0
+    n_eval = vals.size
+    first = []
+    at = int(probe)
+    for h, (s, w) in zip(steps, grids):
+        part = slice(at, at + s.size)
+        first.append(level_sum(h, w, vals[part], None if bounds is None else bounds[part]))
+        at += s.size
 
-    total, bound, mass, n_first = level_sum(0.5, only_odd=False)
-    n_eval += n_first
+    total, bound, mass = first[0]
     h = 0.5
     prev = math.inf
     for level in range(1, _TANHSINH_MAX_LEVEL + 1):
         h *= 0.5
-        add, add_bound, add_mass, ne = level_sum(h, only_odd=True)
-        n_eval += ne
+        if level <= _TANHSINH_MIN_LEVEL:
+            add, add_bound, add_mass = first[level]
+        else:
+            s, w = level_nodes(h, only_odd=True)
+            add, add_bound, add_mass = level_sum(h, w, *evaluate(s))
+            n_eval += s.size
         new_total = 0.5 * total + add
         bound = 0.5 * bound + add_bound
         mass = 0.5 * mass + add_mass
         change = abs(new_total - total)
-        if level >= 3 and change <= tol and abs(total - prev) <= 16.0 * tol:
+        if level >= _TANHSINH_MIN_LEVEL and change <= tol and abs(total - prev) <= 16.0 * tol:
             total, err = new_total, max(change, 1e-16 * abs(new_total))
             break
         prev = total

@@ -248,7 +248,7 @@ class TestAreaIntegralMean:
         assert abs(a.value - float(ref)) <= a.error_estimate <= 1e-8
 
     @pytest.mark.parametrize("alpha", [1.0 - 1e-7, 1.0 + 1e-7, 1.0 - 5e-10])
-    @pytest.mark.parametrize("y", [1.5, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("y", [1.5, 2.0, 4.0, 8.0, math.nextafter(8.0, 0.0)])
     def test_flanks_count_the_inner_mean_error(self, y, alpha):
         # The flanks integrate the inner mean's own error bound alongside
         # its value.  Near alpha = 1 that bound stays at the rounding
@@ -287,19 +287,19 @@ def mp_mean(y, alpha):
 
 
 class TestAreaBeyondEight:
-    """Beyond y = 8 the right flank would need the inner mean past
-    u = 1/2, so the route reflects: y^alpha * mean(1/y)."""
+    """From y = 8 on the right flank would reach the inner mean at
+    u = 1/2 and past it, so the route reflects: y^alpha * mean(1/y)."""
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("alpha", [1e-6, 0.05, 0.5, 1.0 - 1e-7, 1.0, 1.5, 1.9, 2.0])
     def test_within_estimate_of_mpmath(self, alpha, tol):
         # The contract allows a NumericalFailure; none of these raises.
-        for y in (math.nextafter(8.0, math.inf), 9.0, 13.7, 20.0, 1e3, 1e150):
+        for y in (8.0, math.nextafter(8.0, math.inf), 9.0, 13.7, 20.0, 1e3, 1e150):
             a = area_integral_mean(y, alpha, tol)
             assert abs(mp.mpf(a.value) - mp_mean(y, alpha)) <= a.error_estimate, (y, a)
             assert math.isfinite(a.error_estimate) and a.work > 0
 
-    def test_eight_takes_the_split_and_beyond_reflects(self, monkeypatch):
+    def test_eight_reflects_and_below_takes_the_split(self, monkeypatch):
         import circmeans.disk as disk
 
         flanks = []
@@ -309,12 +309,13 @@ class TestAreaBeyondEight:
             return integrate_tanhsinh_singular(q, width, strength, tol)
 
         monkeypatch.setattr(disk, "integrate_tanhsinh_singular", counting)
-        at_eight = area_integral_mean(8.0, 0.5)
-        assert flanks == [0.0625, 0.125]
-        assert abs(mp.mpf(at_eight.value) - mp_mean(8.0, 0.5)) <= at_eight.error_estimate
-        flanks.clear()
-        area_integral_mean(math.nextafter(8.0, math.inf), 0.5)
-        assert flanks == []
+        below = math.nextafter(8.0, 0.0)
+        for y, expected in [(below, [0.0625, 0.125]), (8.0, []), (math.nextafter(8.0, math.inf), [])]:
+            flanks.clear()
+            a = area_integral_mean(y, 0.5)
+            # Below 8 the left flank is half of 1/y, a hair above 1/16.
+            assert flanks == pytest.approx(expected, rel=1e-15), y
+            assert abs(mp.mpf(a.value) - mp_mean(y, 0.5)) <= a.error_estimate, y
 
     @pytest.mark.parametrize("y", [1.05, 16.0, 1e150])
     def test_one_traced_call_per_reflected_call(self, monkeypatch, y):
@@ -350,7 +351,7 @@ class TestAreaBeyondEight:
 
 class TestAreaExcess:
     """On 0 < y <= 1/8 the rule integrates (m(y r) - 1) r ln(1/r) and
-    adds the moment 1/4; every reflected call (y > 8) lands there."""
+    adds the moment 1/4; every call reflected from y >= 8 lands there."""
 
     ALPHAS = [1e-6, 1e-3, 0.03, 0.25, 0.5, 1.0 - 1e-7, 1.0, 1.5, 1.9, 2.0]
     BOUNDARY = math.nextafter(0.125, 1.0)
@@ -358,7 +359,7 @@ class TestAreaExcess:
     @pytest.mark.parametrize("tol", [1e-8, 1e-12])
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_within_estimate_of_mpmath(self, alpha, tol):
-        for y in (1e-6, 0.01, 1 / 16, 0.125, self.BOUNDARY, 0.2, 8.0 + 1e-6, 16.0, 20.0, 1e3):
+        for y in (1e-6, 0.01, 1 / 16, 0.125, self.BOUNDARY, 0.2, 8.0, 8.0 + 1e-6, 16.0, 20.0, 1e3):
             a = area_integral_mean(y, alpha, tol)
             assert abs(mp.mpf(a.value) - mp_mean(y, alpha)) <= a.error_estimate, (y, a)
 
@@ -376,7 +377,7 @@ class TestAreaExcess:
             outer.error_estimate + scale * inner.error_estimate)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0, 1.5, 1.9])
-    @pytest.mark.parametrize("y", [1e-6, 0.01, 1 / 16, 0.125, 9.0, 16.0, 20.0])
+    @pytest.mark.parametrize("y", [1e-6, 0.01, 1 / 16, 0.125, 8.0, 9.0, 16.0, 20.0])
     def test_at_most_three_panels(self, y, alpha):
         # m r ln(1/r) took up to 255 evaluations here at the default tol.
         assert area_integral_mean(y, alpha).work <= 45
@@ -394,7 +395,7 @@ def next_down(x):
 class TestAreaBand:
     """On 7/8 < y < 8/7, where 1/y lies within one flank of the rim, one
     tanh-sinh rule in s = 1 - r serves, reflected for y > 1; the split
-    takes 8/7 <= y <= 8."""
+    takes 8/7 <= y < 8."""
 
     ALPHAS = [1e-6, 1e-3, 0.01, 0.03, 0.05, 0.1, 0.25, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7,
               1.5, 1.9, 2.0 - 1e-9, 2.0]
@@ -458,6 +459,9 @@ class TestAreaBand:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestAreaSmallAlpha:
+    # Reflected to the excess rule at y = 1/8, which has no flank.
+    MUST_RETURN = {(8.0, 1e-6)}
+
     @pytest.mark.parametrize("y, alpha", [(1.0, 1e-3), (1.5, 1e-3), (4.0, 1e-3), (1.5, 1e-2),
                                           (8.0, 1e-6), (4.0, 0.03), (0.5, 1e-6)])
     def test_within_estimate_or_finite_best_estimate(self, y, alpha):
@@ -469,6 +473,7 @@ class TestAreaSmallAlpha:
         try:
             a = area_integral_mean(y, alpha)
         except NumericalFailure as exc:
+            assert (y, alpha) not in self.MUST_RETURN, exc
             assert math.isfinite(exc.best_estimate) and exc.error_estimate > 1e-8
             assert abs(mp.mpf(exc.best_estimate) - ref) <= exc.error_estimate
             return

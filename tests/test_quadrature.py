@@ -7,7 +7,13 @@ import pytest
 from scipy.integrate import quad
 
 from circmeans.core import NumericalFailure
-from circmeans.quadrature import integrate_adaptive, integrate_tanhsinh_singular
+from circmeans.quadrature import (
+    _S_MIN,
+    _TANHSINH_MAX_LEVEL,
+    _TANHSINH_ROUNDING,
+    integrate_adaptive,
+    integrate_tanhsinh_singular,
+)
 
 
 def adaptive_or_best(f, a, b, tol, **kwargs):
@@ -178,3 +184,153 @@ class TestTanhSinh:
 
     def test_zero_width(self):
         assert integrate_tanhsinh_singular(lambda s: s, 0.0, 1.0, 1e-12) == (0.0, 0.0, 0)
+
+
+def level_by_level_tanhsinh(q, width, strength, tol):
+    """The tanh-sinh rule with one integrand call per level (and one for
+    the probe at the smallest normal s), as it stood before its first
+    four levels went to the integrand in one call: the oracle that the
+    batched rule must match bit for bit."""
+    if width <= 0.0:
+        return 0.0, 0.0, 0
+    t_max = max(3.2, math.asinh(38.0 / (math.pi * min(max(strength, 1e-3), 2.0))))
+
+    def level_sum(h, only_odd):
+        kmax = int(math.floor(t_max / h))
+        ks = np.arange(-kmax, kmax + 1)
+        if only_odd:
+            ks = ks[ks % 2 != 0]
+        if ks.size == 0:
+            return 0.0, 0.0, 0.0, 0
+        tau = ks * h
+        x = math.pi * np.sinh(tau)
+        ex = np.exp(-np.abs(x))
+        d = np.where(x >= 0.0, ex / (1.0 + ex), 1.0 / (1.0 + ex))
+        w = math.pi * np.cosh(tau) * ex / (1.0 + ex) ** 2
+        s = width * d
+        good = (s >= _S_MIN) & (w > 0.0)
+        s, w = s[good], w[good]
+        out = q(s)
+        vals, bounds = out if isinstance(out, tuple) else (out, None)
+        wq = w * np.asarray(vals, dtype=float)
+        value = h * width * float(np.sum(wq))
+        bound = 0.0 if bounds is None else h * width * float(np.dot(w, bounds))
+        return value, bound, h * width * float(np.abs(wq).sum()), int(s.size)
+
+    omitted, n_eval = 0.0, 0
+    if width * math.exp(-math.pi * math.sinh(t_max)) < _S_MIN:
+        out = q(np.array([_S_MIN]))
+        q_min = float((out[0] if isinstance(out, tuple) else out)[0])
+        omitted, n_eval = abs(q_min) * _S_MIN / strength, 1
+
+    total, bound, mass, n_first = level_sum(0.5, only_odd=False)
+    n_eval += n_first
+    h = 0.5
+    prev = math.inf
+    for level in range(1, _TANHSINH_MAX_LEVEL + 1):
+        h *= 0.5
+        add, add_bound, add_mass, ne = level_sum(h, only_odd=True)
+        n_eval += ne
+        new_total = 0.5 * total + add
+        bound = 0.5 * bound + add_bound
+        mass = 0.5 * mass + add_mass
+        change = abs(new_total - total)
+        if level >= 3 and change <= tol and abs(total - prev) <= 16.0 * tol:
+            total, err = new_total, max(change, 1e-16 * abs(new_total))
+            break
+        prev = total
+        total = new_total
+    else:
+        err = abs(total - prev)
+    err += omitted
+    if not err <= tol:
+        raise NumericalFailure(
+            f"tanh-sinh rule did not reach tol={tol:g} (error ~{err:.3g})",
+            best_estimate=total, error_estimate=err, work=n_eval,
+        )
+    return total, err + bound + _TANHSINH_ROUNDING * mass, n_eval
+
+
+def tanhsinh_outcome(rule, q, width, strength, tol):
+    """(value, error, evals), or the message, best estimate, error and
+    work of the NumericalFailure that ``rule`` raised."""
+    try:
+        return rule(q, width, strength, tol)
+    except NumericalFailure as exc:
+        return str(exc), exc.best_estimate, exc.error_estimate, exc.work
+
+
+def counted(q):
+    """q, and a list that gets one entry per call: the call's node count."""
+    calls = []
+
+    def wrapped(s):
+        calls.append(s.size)
+        return q(s)
+
+    return wrapped, calls
+
+
+class TestTanhSinhBatch:
+    """Levels 0-3 always run, so they go to the integrand in one call;
+    the values, estimates and evaluation counts must not move."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("with_bounds", [False, True])
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5, 2.0])
+    def test_bit_identical_to_the_level_by_level_rule(self, p, with_bounds):
+        def plain(s):
+            return s ** (p - 1.0) * np.cos(s)
+
+        def paired(s):
+            v = plain(s)
+            return v, 1e-17 * np.abs(v) + 1e-19
+
+        q = paired if with_bounds else plain
+        for width in (1e-3, 0.37, 1.0, math.pi):
+            for rel in (1e-14, 1e-9, 1e-3):
+                tol = rel * width**p / p
+                batched = tanhsinh_outcome(integrate_tanhsinh_singular, q, width, p, tol)
+                oracle = tanhsinh_outcome(level_by_level_tanhsinh, q, width, p, tol)
+                assert batched == oracle, (width, rel)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("q, width, p, tol", [
+        # tol below the converged level's floor of 1e-16 |value|
+        (lambda s: (2.0 * np.sin(0.5 * s)) ** 0.1 / math.pi, math.pi, 1.1, 1e-30),
+        # NaN integrand: no level converges
+        (lambda s: np.full_like(s, np.nan), 1.0, 1.0, 1e-10),
+        # below strength 0.05 the probe's omitted mass exceeds tol
+        (lambda s: s ** (0.01 - 1.0), 0.37, 0.01, 1e-9 * 0.37**0.01 / 0.01),
+        (lambda s: (s ** (0.001 - 1.0), np.zeros_like(s)), 1.0, 0.001, 1e-8),
+    ], ids=["below-the-floor", "nan", "probe", "probe-with-bounds"])
+    def test_raising_paths_match(self, q, width, p, tol):
+        oracle = tanhsinh_outcome(level_by_level_tanhsinh, q, width, p, tol)
+        assert isinstance(oracle[0], str)
+        assert repr(tanhsinh_outcome(integrate_tanhsinh_singular, q, width, p, tol)) == repr(oracle)
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-9, 1e-14])
+    @pytest.mark.parametrize("p", [0.01, 0.5, 1.0, 2.0])
+    def test_one_call_for_the_first_four_levels(self, p, tol):
+        # The oracle calls q once per level (and once for the probe); the
+        # batched rule once for the probe and levels 0-3 together, then
+        # once per further level.
+        q = lambda s: s ** (p - 1.0) * np.exp(-s)
+        batched, calls = counted(q)
+        oracle, oracle_calls = counted(q)
+        tanhsinh_outcome(integrate_tanhsinh_singular, batched, 1.0, p, tol)
+        tanhsinh_outcome(level_by_level_tanhsinh, oracle, 1.0, p, tol)
+        probe = p < 0.05
+        assert oracle_calls[0] == 1 if probe else oracle_calls[0] > 1
+        levels = oracle_calls[probe:]
+        assert len(levels) >= 4
+        assert len(calls) == len(levels) - 3
+        assert calls[0] == sum(oracle_calls) - sum(levels[4:])
+        assert calls[1:] == levels[4:]
+
+    def test_converged_at_level_three_calls_once(self):
+        batched, calls = counted(lambda s: s ** -0.5)
+        oracle, oracle_calls = counted(lambda s: s ** -0.5)
+        assert integrate_tanhsinh_singular(batched, 1.0, 0.5, 1e-3) == \
+            level_by_level_tanhsinh(oracle, 1.0, 0.5, 1e-3)
+        assert len(oracle_calls) == 4 and calls == [sum(oracle_calls)]
